@@ -1,9 +1,10 @@
 """Exact auxiliary solvers and the boxicity bound calculators.
 
 The two exact solvers (minimum edge clique cover, chromatic number) are
-branch-and-bound routines meant for desk-scale graphs; every calculator below
-works from the graph itself (focal-vertex counts are always recomputed, never
-taken from a family descriptor).
+branch-and-bound routines meant for desk-scale graphs. The Mycielski bounds
+are integer formulas of invariants that every calculator below computes from
+the graph itself (focal-vertex counts are always recomputed, never taken from
+a family descriptor).
 """
 
 from __future__ import annotations
@@ -154,36 +155,40 @@ def _focal_count(g: Graph) -> int:
     return len(focal)
 
 
+def cor36_lower(box: int, focal: int) -> int:
+    """Cor 3.6: the boxicity of the Mycielski graph of g is at least the
+    boxicity of g plus half its focal-vertex count rounded up."""
+    return box + (focal + 1) // 2
+
+
+def thm42_upper(theta: int, focal: int) -> int:
+    """Thm 4.2: the boxicity of the Mycielski graph of g is at most the edge
+    clique cover number of the complement of g, plus half the focal-vertex
+    count rounded up, plus one more only when that count is even and positive.
+    Shared by the calculator and the survey checks so the condition cannot
+    drift."""
+    return theta + (focal + 1) // 2 + (1 if focal and focal % 2 == 0 else 0)
+
+
 def mycielski_lower_bound(
     g: Graph,
     r: int = 2,
     max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP,
 ) -> int:
-    """Lower bound for the boxicity of the generalized Mycielski graph of g:
-    boxicity of g plus half the focal-vertex count rounded up. Valid for
-    every r >= 2."""
+    """Lower bound for the boxicity of the generalized Mycielski graph of g
+    (``cor36_lower``); valid for every r >= 2."""
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
-    box = exact_boxicity(g, max_complement_edges).value
-    return box + (_focal_count(g) + 1) // 2
-
-
-def even_focal_surcharge(l: int) -> int:
-    """The +1 term of the Mycielski upper bound; it applies unless the focal
-    count is odd or zero. Shared by the calculator and the survey checks so
-    the condition cannot drift."""
-    return 0 if (l == 0 or l % 2 == 1) else 1
+    return cor36_lower(exact_boxicity(g, max_complement_edges).value, _focal_count(g))
 
 
 def mycielski_upper_bound(
     g: Graph, max_cover_edges: int = DEFAULT_CLIQUE_COVER_EDGE_CAP
 ) -> int:
-    """Upper bound for the boxicity of the Mycielski graph of g: the edge
-    clique cover number of the complement, plus half the focal-vertex count
-    rounded up, plus one more only when that count is even and positive."""
+    """Upper bound for the boxicity of the Mycielski graph of g
+    (``thm42_upper``)."""
     theta, _ = edge_clique_cover(complement(g), max_cover_edges)
-    l = _focal_count(g)
-    return theta + (l + 1) // 2 + even_focal_surcharge(l)
+    return thm42_upper(theta, _focal_count(g))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ import sys
 from dataclasses import dataclass
 
 from .bounds import (
+    _focal_count,
     chromatic_boxicity_check,
     chromatic_number,
     compute_bounds_report,
+    cor36_lower,
     edge_clique_cover,
-    even_focal_surcharge,
-    mycielski_lower_bound,
-    mycielski_upper_bound,
+    thm42_upper,
 )
 from .constructions import complete_mycielski_cover, mycielski_cover
 from .engine import (
@@ -31,10 +31,10 @@ from .engine import (
     parse_cover,
     verify_cointerval_cover,
 )
-from .errors import CapacityError, SelfCheckError
+from .errors import CapacityError, NotIntervalError, SelfCheckError
 from .generators import focalize, gen_family, mycielski
-from .graphs import complement, focal_vertices, graph6_decode, graph6_encode, to_dot
-from .intervals import interval_representation, is_interval
+from .graphs import complement, graph6_decode, graph6_encode, to_dot
+from .intervals import interval_representation
 
 SURVEY_HEADER = (
     "graph6,n,m,box,chi,theta_comp,focal,lb_cor36,ub_thm42,"
@@ -88,10 +88,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_interval(args: argparse.Namespace) -> int:
     g = graph6_decode(args.graph6)
-    result = is_interval(g)
-    print(result.verdict)
-    if result.interval:
-        sys.stdout.write(interval_representation(g).to_text())
+    try:
+        rep = interval_representation(g)
+    except NotIntervalError:
+        print("not-interval")
+        return 0
+    print("interval")
+    sys.stdout.write(rep.to_text())
     return 0
 
 
@@ -158,18 +161,18 @@ class SurveyRow:
 def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyRow:
     """One survey row: exact invariants of g plus empirical verification of
     the Mycielski bounds, the boxicity-chromatic inequality and the chromatic
-    step.
+    step. Each invariant of g is computed once and shared by the checks.
 
     The Mycielski lower bound is checked directly against an exact engine run
     when the Mycielski complement is small enough, and against the upper
     bounds otherwise (crossed bounds would falsify one of the theorems).
     """
-    box = exact_boxicity(g, cap).value
-    chi = chromatic_number(g)
+    check = chromatic_boxicity_check(g, cap)
+    box, chi = check.box, check.chi
     theta, clique_cover = edge_clique_cover(complement(g))
-    focal = len(focal_vertices(g))
-    lb = mycielski_lower_bound(g, r, cap)
-    ub = mycielski_upper_bound(g)
+    focal = _focal_count(g)
+    lb = cor36_lower(box, focal)
+    ub = thm42_upper(theta, focal)
     myc, _ = mycielski(g, r)
 
     if complement(myc).num_edges() <= SURVEY_DIRECT_EDGE_LIMIT:
@@ -181,13 +184,10 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
         ok_cor36 = lb <= myc.n // 2
 
     try:
-        built = mycielski_cover(g, clique_cover)
-        limit = theta + (focal + 1) // 2 + even_focal_surcharge(focal)
-        ok_thm42 = len(built.parts) <= limit
+        ok_thm42 = len(mycielski_cover(g, clique_cover).parts) <= ub
     except SelfCheckError:
         ok_thm42 = False
 
-    ok_thm11 = chromatic_boxicity_check(g, cap).ok
     m2 = myc if r == 2 else mycielski(g, 2)[0]
     ok_chi = chromatic_number(m2) == chi + 1
 
@@ -203,7 +203,7 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
         ub,
         ok_cor36,
         ok_thm42,
-        ok_thm11,
+        check.ok,
         ok_chi,
     )
 

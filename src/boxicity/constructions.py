@@ -118,8 +118,7 @@ def construction_plan(g: Graph, cover: CliqueCover) -> ConstructionPlan:
         raise SelfCheckError(
             "cover cliques plus focal vertices do not exhaust the vertex set"
         )
-    _, layout = mycielski(g, 2)
-    return ConstructionPlan(g, layout, cover, focal)
+    return ConstructionPlan(g, MycielskiLayout(g.n, 2), cover, focal)
 
 
 def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
@@ -133,8 +132,7 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
     only when the focal count is even and positive.
     """
     plan = construction_plan(g, cover)
-    layout = plan.layout
-    myc, _ = mycielski(g, 2)
+    myc, layout = mycielski(g, 2)
     host = complement(myc)
     everyone = set(range(g.n))
 

@@ -9,15 +9,7 @@ isomorphism search. Intended for n up to about 8.
 from __future__ import annotations
 
 from .graphs import Graph, is_connected
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .intervals import _bit_list
 
 
 def _invariant(g: Graph):
@@ -33,7 +25,7 @@ def _invariant(g: Graph):
             t += (row & g.adj[low.bit_length() - 1]).bit_count()
         tri.append(t // 2)
     nbr_degrees = tuple(
-        sorted(tuple(sorted(deg[u] for u in _bits(g.adj[v]))) for v in range(g.n))
+        sorted(tuple(sorted(deg[u] for u in _bit_list(g.adj[v]))) for v in range(g.n))
     )
     return (
         g.n,

@@ -22,11 +22,13 @@ include-first binary decision tree over edges and prunes on two exact grounds:
 Include-first order guarantees every superset of a subset is visited first,
 so a surviving cointerval leaf is inclusion-maximal. The result is exactly
 the brute-force family (asserted against a plain subset scan in the tests),
-just reached faster. Minimum set cover over the family is branch and bound:
-branch on the uncovered edge lying in the fewest family members, bound by the
-ceiling of uncovered count over best single-set coverage. Family order,
-branch order and tie-breaks are lexicographic on edge lists, and the returned
-certificate is the first optimal cover in that order.
+just reached faster. Minimum set cover over the family is one branch-and-bound
+pass: branch on the uncovered edge lying in the fewest family members, bound
+by the ceiling of uncovered count over best single-set coverage, start from
+the size of a greedy cover, and after each cover found search only for
+strictly smaller ones. Family order, branch order and tie-breaks are
+lexicographic on edge lists, so the last cover the pass records, which it
+returns as the certificate, is the first minimum cover in that order.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -287,7 +289,10 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
         )
     if not edges:
         return [0], 0
-    return _maximal_cointerval_masks(host.n, edges)
+    family, nodes = _maximal_cointerval_masks(host.n, edges)
+    # Masks index the lexicographic edge list, so this orders by edge list.
+    family.sort(key=lambda mask: [edges[p] for p in _bit_list(mask)])
+    return family, nodes
 
 
 def maximal_cointerval_family(
@@ -297,9 +302,7 @@ def maximal_cointerval_family(
     ordered lexicographically by sorted edge list."""
     family, _ = _maximal_cointerval_family_masks(host, cap)
     edges = host.edges()
-    out = [EdgeSet.of(host.n, (edges[p] for p in _bit_list(mask))) for mask in family]
-    out.sort(key=_part_key)
-    return out
+    return [EdgeSet.of(host.n, (edges[p] for p in _bit_list(mask))) for mask in family]
 
 
 def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
@@ -343,47 +346,37 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
         return -(-rem // mx)
 
     cov = 0
-    best_len = 0
+    limit = 0
     while cov & universe != universe:  # greedy upper bound
         i = max(
             range(len(sets)),
             key=lambda i: ((sets[i] & universe & ~cov).bit_count(), -i),
         )
         cov |= sets[i]
-        best_len += 1
-
-    def improve(cov: int, count: int) -> None:
-        nonlocal best_len, nodes
-        nodes += 1
-        if cov & universe == universe:
-            if count < best_len:
-                best_len = count
-            return
-        if count + lower_bound(cov) >= best_len:
-            return
-        for i in elem_sets[pick_element(cov)]:
-            improve(cov | sets[i], count + 1)
-
-    improve(0, 0)
+        limit += 1
 
     chosen: list[int] = []
+    path: list[int] = []
 
-    def first(cov: int, count: int) -> bool:
-        nonlocal nodes
+    def search(cov: int, count: int) -> None:
+        # Bound before the completeness test: a full cover over the limit
+        # must not raise the limit again.
+        nonlocal limit, nodes
         nodes += 1
+        if count + lower_bound(cov) > limit:
+            return
         if cov & universe == universe:
-            return True
-        if count + lower_bound(cov) > best_len:
-            return False
+            chosen[:] = path
+            limit = count - 1
+            return
         for i in elem_sets[pick_element(cov)]:
-            chosen.append(i)
-            if first(cov | sets[i], count + 1):
-                return True
-            chosen.pop()
-        return False
+            path.append(i)
+            search(cov | sets[i], count + 1)
+            path.pop()
 
-    if not first(0, 0):
-        raise SelfCheckError("optimal cover size was found but no cover")
+    search(0, 0)
+    if not chosen:
+        raise SelfCheckError("branch and bound found no cover within the greedy bound")
     return chosen, nodes
 
 
@@ -405,8 +398,6 @@ def exact_boxicity(
         _self_check(g, cover, rep, 0)
         return BoxicityResult(0, cover, rep, 0, 0)
     family, scan_nodes = _maximal_cointerval_family_masks(host, max_complement_edges)
-    # Family in lexicographic order of edge lists; masks index the lex edge list.
-    family.sort(key=lambda mask: [edges[p] for p in _bit_list(mask)])
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(

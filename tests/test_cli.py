@@ -1,8 +1,10 @@
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 
-from boxicity import cli
+from boxicity import bounds, cli, constructions
 from boxicity.generators import complete_graph, cycle_graph, mycielski
 from boxicity.graphs import graph6_decode, graph6_encode
 
@@ -191,6 +193,35 @@ class TestSurvey:
         code, out, _ = run_cli(["survey", str(listing)], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 208
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "14e1e8b61d343825589fd0980e2ea08b5d03227129fd6acb9645791057f4038c"
+        )
+
+    def test_each_invariant_computed_once_per_row(self, connected_by_n, monkeypatch):
+        """Invariants are counted across modules. Mycielski builds are
+        counted per module: the row and the cover construction each build the
+        graph once, since the construction takes only the base graph."""
+        calls = Counter()
+
+        def counting(key, fn):
+            def wrapped(g, *args, **kwargs):
+                calls[key, g] += 1
+                return fn(g, *args, **kwargs)
+
+            return wrapped
+
+        names = ("exact_boxicity", "chromatic_number", "edge_clique_cover", "mycielski")
+        for module in (cli, bounds, constructions):
+            for name in names:
+                if hasattr(module, name):
+                    key = f"{module.__name__}.{name}" if name == "mycielski" else name
+                    monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        for n in range(1, 6):
+            for g in connected_by_n[n]:
+                calls.clear()
+                assert cli.survey_row(g).all_pass()
+                repeated = [key for key, count in calls.items() if count > 1]
+                assert not repeated, f"{graph6_encode(g)}: {repeated}"
 
     def test_failing_check_aborts_with_row(self, tmp_path, capsys, monkeypatch):
         row = cli.SurveyRow("A_", 2, 1, 0, 2, 0, 2, 1, 2, True, True, False, True)

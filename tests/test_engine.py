@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -172,6 +173,7 @@ class TestExactBoxicity:
                 assert exact_boxicity(g).value == brute_boxicity(g)
 
     def test_certificates_verify_on_corpus(self, graphs_by_n):
+        digest = hashlib.sha256()
         for n in range(1, 7):
             for g in graphs_by_n[n]:
                 result = exact_boxicity(g)
@@ -179,6 +181,10 @@ class TestExactBoxicity:
                 assert len(result.certificate.parts) == result.value
                 assert verify_box_representation(g, result.box_rep).ok
                 assert result.box_rep.dimension == max(result.value, 1)
+                digest.update(format_cover(result.certificate).encode())
+        assert digest.hexdigest() == (
+            "121bdca16d2f2692438f4eb6e8d95c97928f5a5a84d3a972427149019901a0d2"
+        )
 
     def test_roberts_ceiling(self, graphs_by_n):
         for n in range(2, 6):
