@@ -43,7 +43,7 @@ print("=== Maximal cointerval subsets drive the search ===")
 host = complement(complete_multipartite([2, 2, 2]))
 print("host: complement of the octahedron =", len(host.edges()), "disjoint edges")
 for part in maximal_cointerval_family(host):
-    print("  maximal part:", sorted(part.edges))
+    print("  maximal part:", part.edges())
 print("minimum cover needs one part per edge, so the boxicity is 3")
 
 print()

@@ -15,7 +15,14 @@ from typing import Iterable
 
 from .errors import CapacityError, SelfCheckError
 from .generators import mycielski
-from .graphs import Graph, complement, focal_vertices, graph6_encode, is_clique
+from .graphs import (
+    Graph,
+    _vertex_set_mask,
+    complement,
+    focal_vertices,
+    graph6_encode,
+    is_clique,
+)
 from .engine import (
     DEFAULT_COMPLEMENT_EDGE_CAP,
     Verdict,
@@ -46,15 +53,15 @@ def verify_clique_cover(host: Graph, cover: CliqueCover) -> Verdict:
     for i, clique in enumerate(cover.cliques):
         if not is_clique(host, clique):
             return Verdict(False, f"set {i} is not a clique")
-    covered = set()
+    covered = [0] * host.n
     for clique in cover.cliques:
-        cs = sorted(clique)
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                covered.add((cs[a], cs[b]))
-    for e in host.edges():
-        if e not in covered:
-            return Verdict(False, f"edge {e[0]}-{e[1]} is covered by no clique")
+        inside = _vertex_set_mask(host, clique)
+        for v in clique:
+            covered[v] |= inside
+    missing = tuple(h & ~c for h, c in zip(host.adj, covered))
+    if any(missing):
+        u, v = Graph(host.n, missing).edges()[0]
+        return Verdict(False, f"edge {u}-{v} is covered by no clique")
     return Verdict(True)
 
 
@@ -75,15 +82,12 @@ def edge_clique_cover(
         )
     if not edges:
         return 0, CliqueCover(g, ())
-    pos = {e: i for i, e in enumerate(edges)}
     cliques = maximal_cliques(g)
-    sets = []
-    for clique in cliques:
-        mask = 0
-        for a in range(len(clique)):
-            for b in range(a + 1, len(clique)):
-                mask |= 1 << pos[(clique[a], clique[b])]
-        sets.append(mask)
+    # Each clique's set holds the indices of the edges with both ends in it.
+    sets = [
+        sum(1 << i for i, (u, v) in enumerate(edges) if m >> u & m >> v & 1)
+        for m in (_vertex_set_mask(g, clique) for clique in cliques)
+    ]
     chosen, _ = _minimum_cover((1 << len(edges)) - 1, sets)
     cover = CliqueCover(g, tuple(sorted(cliques[i] for i in chosen)))
     return len(chosen), cover
@@ -149,7 +153,8 @@ def mycielski_kn_boxicity(n: int) -> int:
 def _focal_count(g: Graph) -> int:
     """Focal vertices of g, with the complement-side reading asserted equal."""
     focal = focal_vertices(g)
-    comp_isolated = {v for v in range(g.n) if complement(g).adj[v] == 0}
+    comp = complement(g)
+    comp_isolated = {v for v in range(g.n) if comp.adj[v] == 0}
     if focal != comp_isolated:
         raise SelfCheckError("focal vertices differ from complement-isolated ones")
     return len(focal)

@@ -10,32 +10,37 @@ failure here means a library bug, not a bad input, and raises hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Iterable
 
 from .errors import SelfCheckError
 from .bounds import CliqueCover, verify_clique_cover
-from .engine import CointervalCover, EdgeSet, verify_cointerval_cover
+from .engine import CointervalCover, verify_cointerval_cover
 from .generators import MycielskiLayout, complete_graph, mycielski
-from .graphs import Graph, complement, focal_vertices
+from .graphs import Graph, _vertex_set_mask, complement, focal_vertices
 
 
-def _induced_edges(host: Graph, verts: set[int]) -> set[tuple[int, int]]:
-    """Host edges with both endpoints in ``verts``."""
-    return {
-        (u, v)
-        for u, v in combinations(sorted(verts), 2)
-        if host.adj[u] >> v & 1
-    }
+def _induced_part(
+    host: Graph, verts: Iterable[int], cut: dict[int, int] | None = None
+) -> Graph:
+    """The host's spanning subgraph on its edges with both ends in ``verts``,
+    less ``cut[v]`` from the row of each vertex v (``cut`` must be symmetric)."""
+    keep = _vertex_set_mask(host, verts)
+    cut = cut or {}
+    rows = tuple(
+        host.adj[v] & keep & ~cut.get(v, 0) if keep >> v & 1 else 0
+        for v in range(host.n)
+    )
+    return Graph(host.n, rows)
 
 
 def _apex_cover_part(
     host: Graph, layout: MycielskiLayout, base_vertices: list[int]
-) -> EdgeSet:
+) -> Graph:
     """The one part containing the apex: induced on the apex, the second copy
     of the last listed base vertex, and the first copies of all of them."""
     verts = {layout.apex, layout.copy(2, base_vertices[-1])}
     verts |= {layout.copy(1, v) for v in base_vertices}
-    return EdgeSet.of(host.n, _induced_edges(host, verts))
+    return _induced_part(host, verts)
 
 
 def _pair_cover_part(
@@ -43,19 +48,19 @@ def _pair_cover_part(
     layout: MycielskiLayout,
     first_pair: tuple[int, int],
     second_copy_of: list[int],
-) -> EdgeSet:
+) -> Graph:
     """A part induced on two first-copy vertices plus a block of second
     copies."""
     verts = {layout.copy(1, first_pair[0]), layout.copy(1, first_pair[1])}
     verts |= {layout.copy(2, v) for v in second_copy_of}
-    return EdgeSet.of(host.n, _induced_edges(host, verts))
+    return _induced_part(host, verts)
 
 
 def _matching_pair_parts(
     host: Graph,
     layout: MycielskiLayout,
     base_vertices: list[int],
-) -> list[EdgeSet]:
+) -> list[Graph]:
     """The pair parts over consecutive base vertices (1st & 2nd, 3rd & 4th,
     ...), plus a wrap-around part over the last two when the count is even."""
     l = len(base_vertices)
@@ -143,19 +148,13 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
         verts = {layout.copy(1, v) for v in inside}
         verts |= {layout.copy(2, v) for v in everyone}
         verts.add(layout.apex)
-        edges = _induced_edges(host, verts)
-        dropped = {
-            _norm(layout.copy(2, x), layout.copy(2, y))
-            for x in outside
-            for y in outside
-            if x < y
-        }
-        dropped |= {
-            _norm(layout.copy(1, x), layout.copy(2, y))
-            for x in inside
-            for y in outside
-        }
-        parts.append(EdgeSet.of(host.n, edges - dropped))
+        # Cut the second-copy pairs outside the clique and the pairs joining a
+        # first copy inside it to a second copy outside it.
+        first_in = _vertex_set_mask(host, (layout.copy(1, x) for x in inside))
+        second_out = _vertex_set_mask(host, (layout.copy(2, y) for y in outside))
+        cut = {layout.copy(1, x): second_out for x in inside}
+        cut |= {layout.copy(2, y): second_out | first_in for y in outside}
+        parts.append(_induced_part(host, verts, cut))
 
     focal = list(plan.focal)
     if focal:
@@ -169,7 +168,3 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
             f"clique-cover-based Mycielski cover failed to verify: {verdict.reason}"
         )
     return built
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)

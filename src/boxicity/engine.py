@@ -30,6 +30,11 @@ strictly smaller ones. Family order, branch order and tie-breaks are
 lexicographic on edge lists, so the last cover the pass records, which it
 returns as the certificate, is the first minimum cover in that order.
 
+Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
+the spanning subgraph it denotes. Verification checks containment in the host
+and coverage on neighbour masks, box building reads each part's complement
+directly, and parts become edge text only in ``format_cover``.
+
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
 edges ``u-v`` with u < v, parts sorted lexicographically.
@@ -61,48 +66,19 @@ MATCHING_EXACT_MAX_N = 14
 
 
 @dataclass(frozen=True)
-class EdgeSet:
-    """A set of edges of a host graph, denoting the spanning subgraph
-    (all host vertices, these edges)."""
-
-    host_n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < v < self.host_n):
-                raise ValueError(f"edge ({u},{v}) invalid for host_n={self.host_n}")
-
-    @classmethod
-    def of(cls, host_n: int, pairs: Iterable[tuple[int, int]]) -> EdgeSet:
-        norm = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(host_n, frozenset(norm))
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
-def _part_key(part: EdgeSet) -> list[tuple[int, int]]:
-    return part.sorted_edges()
-
-
-@dataclass(frozen=True)
 class CointervalCover:
     """A family of cointerval spanning subgraphs of ``host`` covering its
     edges; host is the complement of the graph whose boxicity is certified.
 
-    Parts are normalized to lexicographic order of their edge lists.
+    Each part is a graph on the host's vertices: the spanning subgraph it
+    denotes. Parts are normalized to lexicographic order of their edge lists.
     """
 
     host: Graph
-    parts: tuple[EdgeSet, ...]
+    parts: tuple[Graph, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=_part_key)))
+        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=Graph.edges)))
 
 
 @dataclass(frozen=True)
@@ -129,16 +105,6 @@ class BoxicityResult:
     box_rep: BoxRep
     nodes_explored: int
     family_size: int
-
-
-def _spanning_complement_masks(host_n: int, edges: Iterable[tuple[int, int]]):
-    """Adjacency masks of the complement of the spanning subgraph (V, edges)."""
-    rows = [0] * host_n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    full = (1 << host_n) - 1
-    return tuple(full & ~rows[v] & ~(1 << v) for v in range(host_n))
 
 
 def _is_cointerval_edge_list(host_n: int, pairs: Sequence[tuple[int, int]]) -> bool:
@@ -297,12 +263,14 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
 
 def maximal_cointerval_family(
     host: Graph, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP
-) -> list[EdgeSet]:
-    """All inclusion-maximal cointerval edge subsets of the host graph,
-    ordered lexicographically by sorted edge list."""
+) -> list[Graph]:
+    """All inclusion-maximal cointerval edge subsets of the host graph, as
+    spanning subgraphs, ordered lexicographically by sorted edge list."""
     family, _ = _maximal_cointerval_family_masks(host, cap)
     edges = host.edges()
-    return [EdgeSet.of(host.n, (edges[p] for p in _bit_list(mask))) for mask in family]
+    return [
+        Graph.from_edges(host.n, (edges[p] for p in _bit_list(mask))) for mask in family
+    ]
 
 
 def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
@@ -401,7 +369,8 @@ def exact_boxicity(
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(
-        EdgeSet.of(host.n, (edges[p] for p in _bit_list(family[i]))) for i in chosen
+        Graph.from_edges(host.n, (edges[p] for p in _bit_list(family[i])))
+        for i in chosen
     )
     cover = CointervalCover(host, parts)
     rep = _cover_to_box_rep(g, cover)
@@ -430,31 +399,28 @@ def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
     host = complement(g)
     if cover.host != host:
         raise ValueError("cover host is not the complement of the given graph")
-    host_edges = set(host.edges())
-    seen: set[tuple[int, int]] = set()
+    covered = [0] * host.n
     for i, part in enumerate(cover.parts):
-        if part.host_n != host.n:
-            return Verdict(False, f"part {i} has host_n {part.host_n}, want {host.n}")
-        for e in part.sorted_edges():
-            if e not in host_edges:
-                return Verdict(False, f"part {i} contains non-host edge {e[0]}-{e[1]}")
-        if not _is_cointerval_edge_list(host.n, list(part.edges)):
+        if part.n != host.n:
+            return Verdict(False, f"part {i} has host_n {part.n}, want {host.n}")
+        foreign = tuple(p & ~h for p, h in zip(part.adj, host.adj))
+        if any(foreign):
+            u, v = Graph(host.n, foreign).edges()[0]
+            return Verdict(False, f"part {i} contains non-host edge {u}-{v}")
+        if not _is_cointerval_edge_list(host.n, part.edges()):
             return Verdict(False, f"part {i} is not cointerval")
-        seen |= part.edges
-    for e in sorted(host_edges):
-        if e not in seen:
-            return Verdict(False, f"host edge {e[0]}-{e[1]} is covered by no part")
+        covered = [c | p for c, p in zip(covered, part.adj)]
+    missing = tuple(h & ~c for h, c in zip(host.adj, covered))
+    if any(missing):
+        u, v = Graph(host.n, missing).edges()[0]
+        return Verdict(False, f"host edge {u}-{v} is covered by no part")
     return Verdict(True)
 
 
 def _cover_to_box_rep(g: Graph, cover: CointervalCover) -> BoxRep:
     if not cover.parts:
         return BoxRep(1, tuple(((0, 0),) for _ in range(g.n)))
-    dims = []
-    for part in cover.parts:
-        comp_masks = _spanning_complement_masks(cover.host.n, part.edges)
-        rep = interval_representation(Graph(cover.host.n, comp_masks))
-        dims.append(rep.intervals)
+    dims = [interval_representation(complement(part)).intervals for part in cover.parts]
     boxes = tuple(tuple(dim[v] for dim in dims) for v in range(g.n))
     return BoxRep(len(cover.parts), boxes)
 
@@ -620,7 +586,7 @@ def pair_lower_bound(
 def format_cover(cover: CointervalCover) -> str:
     lines = [f"host {graph6_encode(cover.host)}", f"parts {len(cover.parts)}"]
     for part in cover.parts:
-        lines.append(" ".join(f"{u}-{v}" for u, v in part.sorted_edges()))
+        lines.append(" ".join(f"{u}-{v}" for u, v in part.edges()))
     return "\n".join(lines) + "\n"
 
 
@@ -650,5 +616,5 @@ def parse_cover(text: str) -> CointervalCover:
                 pairs.append((int(u), int(v)))
             except ValueError:
                 raise ValueError(f"bad edge token {token!r} in part {i}") from None
-        parts.append(EdgeSet.of(host.n, pairs))
+        parts.append(Graph.from_edges(host.n, pairs))
     return CointervalCover(host, tuple(parts))

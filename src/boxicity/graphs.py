@@ -128,26 +128,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 def distance(g: Graph, u: int, v: int) -> int | float:
     """BFS shortest-path length from u to v; INFINITY when no path exists."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = 1 << u
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= g.adj[low.bit_length() - 1]
-            frontier ^= low
-        nxt &= ~seen
-        if nxt >> v & 1:
-            return d
-        seen |= nxt
-        frontier = nxt
-    return INFINITY
+    return subgraph_distance(g, (u,), (v,))
 
 
 def subgraph_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | float:
@@ -194,15 +175,7 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    mask = _vertex_set_mask(g, s)
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        if (mask & ~low) & g.adj[v]:
-            return False
-    return True
+    return is_clique(complement(g), s)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

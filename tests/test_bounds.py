@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,10 +15,11 @@ from boxicity.generators import (
     path_graph,
     star_graph,
 )
-from boxicity.graphs import complement, is_clique
+from boxicity.graphs import complement, graph6_encode, is_clique
 from boxicity.engine import exact_boxicity
 from boxicity.bounds import (
     BoundsReport,
+    CliqueCover,
     chromatic_boxicity_check,
     chromatic_number,
     compute_bounds_report,
@@ -71,6 +73,32 @@ class TestEdgeCliqueCover:
             assert verify_clique_cover(g, cover).ok
             for clique in cover.cliques:
                 assert is_clique(g, clique)
+
+    def test_rejected_cover_reasons_digest(self, graphs_by_n):
+        # Pins every verdict and reason string on three broken covers of each
+        # complement: a clique dropped, a non-clique pair added, wrong host.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 7):
+            for g in graphs_by_n[n]:
+                host = complement(g)
+                _, cc = edge_clique_cover(host)
+                checks = []
+                if cc.cliques:
+                    checks.append(("drop", CliqueCover(host, cc.cliques[1:])))
+                if g.edges():
+                    extra = cc.cliques + (g.edges()[0],)
+                    checks.append(("foreign", CliqueCover(host, extra)))
+                checks.append(("host", CliqueCover(g, cc.cliques)))
+                for tag, cover in checks:
+                    verdict = verify_clique_cover(host, cover)
+                    line = f"{graph6_encode(g)}|{tag}|{verdict.ok}|{verdict.reason}\n"
+                    digest.update(line.encode())
+                    count += 1
+        assert count == 611
+        assert digest.hexdigest() == (
+            "7264549657e3bf796d237a6c9fe740c0d6b25d9bb1b1a937c9c00eef494756be"
+        )
 
     def test_exact_on_corpus(self, graphs_by_n):
         # Independent oracle: try every family of up to theta-1 maximal

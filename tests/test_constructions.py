@@ -46,7 +46,7 @@ class TestCompleteMycielskiCover:
         assert len(cover.parts) == 2
         covered = set()
         for part in cover.parts:
-            covered |= part.edges
+            covered |= set(part.edges())
         assert covered == set(host.edges())
 
     def test_optimal_for_odd_sizes(self):

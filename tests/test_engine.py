@@ -15,12 +15,11 @@ from boxicity.generators import (
     path_graph,
     star_graph,
 )
-from boxicity.graphs import Graph, complement, induced_subgraph, join
+from boxicity.graphs import Graph, complement, graph6_encode, induced_subgraph, join
 from boxicity.intervals import is_interval
 from boxicity.engine import (
     BoxRep,
     CointervalCover,
-    EdgeSet,
     cover_to_box_representation,
     exact_boxicity,
     format_cover,
@@ -86,16 +85,16 @@ class TestMaximalFamily:
     def test_complete_host_single_part(self):
         host = complete_graph(5)
         family = maximal_cointerval_family(host)
-        assert [sorted(p.edges) for p in family] == [host.edges()]
+        assert [p.edges() for p in family] == [host.edges()]
 
     def test_two_disjoint_edges_give_singletons(self):
         host = Graph.from_edges(4, [(0, 1), (2, 3)])
         family = maximal_cointerval_family(host)
-        assert [sorted(p.edges) for p in family] == [[(0, 1)], [(2, 3)]]
+        assert [p.edges() for p in family] == [[(0, 1)], [(2, 3)]]
 
     def test_edgeless_host(self):
         family = maximal_cointerval_family(empty_graph(3))
-        assert len(family) == 1 and not family[0].edges
+        assert len(family) == 1 and not family[0].edges()
 
     def test_mycielski_four_cycle_has_two_part_cover(self):
         myc, _ = mycielski(cycle_graph(4), 2)
@@ -103,7 +102,7 @@ class TestMaximalFamily:
         family = maximal_cointerval_family(host)
         all_edges = set(host.edges())
         assert any(
-            a.edges | b.edges == all_edges
+            set(a.edges()) | set(b.edges()) == all_edges
             for a, b in itertools.combinations(family, 2)
         )
 
@@ -111,7 +110,7 @@ class TestMaximalFamily:
         for n in (3, 4):
             for g in graphs_by_n[n]:
                 host = complement(g)
-                fast = [sorted(p.edges) for p in maximal_cointerval_family(host)]
+                fast = [p.edges() for p in maximal_cointerval_family(host)]
                 assert sorted(fast) == brute_maximal_family(host)
 
     def test_matches_brute_oracle_random_hosts(self):
@@ -124,7 +123,7 @@ class TestMaximalFamily:
             if not edges:
                 continue
             host = Graph.from_edges(n, edges)
-            fast = [sorted(p.edges) for p in maximal_cointerval_family(host)]
+            fast = [p.edges() for p in maximal_cointerval_family(host)]
             assert sorted(fast) == brute_maximal_family(host)
 
     def test_capacity_names_cap(self):
@@ -136,7 +135,7 @@ class TestMaximalFamily:
         fam1 = maximal_cointerval_family(host)
         fam2 = maximal_cointerval_family(host)
         assert fam1 == fam2
-        keys = [sorted(p.edges) for p in fam1]
+        keys = [p.edges() for p in fam1]
         assert keys == sorted(keys)
 
 
@@ -243,7 +242,7 @@ class TestVerifyCover:
     def test_rejects_missing_edge(self):
         g = cycle_graph(4)
         host = complement(g)
-        cover = CointervalCover(host, (EdgeSet.of(host.n, [(0, 2)]),))
+        cover = CointervalCover(host, (Graph.from_edges(host.n, [(0, 2)]),))
         verdict = verify_cointerval_cover(g, cover)
         assert not verdict.ok
         assert "1-3" in verdict.reason
@@ -251,7 +250,7 @@ class TestVerifyCover:
     def test_rejects_non_cointerval_part(self):
         g = complete_multipartite([2, 2])  # complement is two disjoint edges
         host = complement(g)
-        cover = CointervalCover(host, (EdgeSet.of(host.n, host.edges()),))
+        cover = CointervalCover(host, (Graph.from_edges(host.n, host.edges()),))
         verdict = verify_cointerval_cover(g, cover)
         assert not verdict.ok
         assert "not cointerval" in verdict.reason
@@ -260,7 +259,7 @@ class TestVerifyCover:
         g = cycle_graph(4)
         host = complement(g)
         cover = CointervalCover(
-            host, (EdgeSet.of(host.n, [(0, 1)]), EdgeSet.of(host.n, host.edges()))
+            host, (Graph.from_edges(host.n, [(0, 1)]), Graph.from_edges(host.n, host.edges()))
         )
         verdict = verify_cointerval_cover(g, cover)
         assert not verdict.ok
@@ -279,12 +278,47 @@ class TestVerifyCover:
             family = maximal_cointerval_family(host)
             for i, part in enumerate(result.certificate.parts):
                 superset = next(
-                    f for f in family if part.edges <= f.edges
+                    f for f in family if set(part.edges()) <= set(f.edges())
                 )
                 parts = list(result.certificate.parts)
                 parts[i] = superset
                 patched = CointervalCover(host, tuple(parts))
                 assert verify_cointerval_cover(g, patched).ok
+
+    def test_mutated_certificate_reasons_digest(self, graphs_by_n):
+        # Pins every verdict and reason string on three mutations of each
+        # engine certificate: drop an edge, add a non-host edge, merge parts.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 7):
+            for g in graphs_by_n[n]:
+                lines = format_cover(exact_boxicity(g).certificate).splitlines()
+                k = len(lines) - 2
+                mutations = []
+                if k >= 1 and lines[2]:
+                    drop = list(lines)
+                    drop[2] = " ".join(drop[2].split()[1:])
+                    mutations.append(("drop", drop))
+                if k >= 1 and g.edges():
+                    u, v = g.edges()[0]
+                    foreign = list(lines)
+                    foreign[2] = (foreign[2] + f" {u}-{v}").strip()
+                    mutations.append(("foreign", foreign))
+                if k >= 2:
+                    merge = list(lines)
+                    merge[1] = f"parts {k - 1}"
+                    merge[2:4] = [merge[2] + " " + merge[3]]
+                    mutations.append(("merge", merge))
+                for tag, mutated in mutations:
+                    cover = parse_cover("\n".join(mutated) + "\n")
+                    verdict = verify_cointerval_cover(g, cover)
+                    line = f"{graph6_encode(g)}|{tag}|{verdict.ok}|{verdict.reason}\n"
+                    digest.update(line.encode())
+                    count += 1
+        assert count == 471
+        assert digest.hexdigest() == (
+            "b6e4bc21d97377d7292d0613575165f22d2c5b30a32ef5273e85932a9a46fbe9"
+        )
 
 
 class TestBoxRepresentation:
@@ -323,7 +357,7 @@ class TestBoxRepresentation:
     def test_rejects_unverified_cover(self):
         g = cycle_graph(4)
         host = complement(g)
-        bad = CointervalCover(host, (EdgeSet.of(host.n, [(0, 2)]),))
+        bad = CointervalCover(host, (Graph.from_edges(host.n, [(0, 2)]),))
         with pytest.raises(ValueError, match="does not verify"):
             cover_to_box_representation(g, bad)
 
@@ -424,4 +458,4 @@ class TestCertificateFormat:
 
     def test_empty_part_line(self):
         cover = parse_cover("host CQ\nparts 1\n\n")
-        assert cover.parts[0].edges == frozenset()
+        assert cover.parts[0].edges() == []
