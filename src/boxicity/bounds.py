@@ -65,9 +65,7 @@ def verify_clique_cover(host: Graph, cover: CliqueCover) -> Verdict:
     return Verdict(True)
 
 
-def edge_clique_cover(
-    g: Graph, max_edges: int = DEFAULT_CLIQUE_COVER_EDGE_CAP
-) -> tuple[int, CliqueCover]:
+def edge_clique_cover(g: Graph) -> tuple[int, CliqueCover]:
     """Minimum number of cliques covering all edges, with a witness cover.
 
     Any clique extends to a maximal one covering at least the same edges, so
@@ -75,10 +73,10 @@ def edge_clique_cover(
     graphs have cover number 0.
     """
     edges = g.edges()
-    if len(edges) > max_edges:
+    if len(edges) > DEFAULT_CLIQUE_COVER_EDGE_CAP:
         raise CapacityError(
             f"graph has {len(edges)} edges, over the edge-clique-cover cap "
-            f"{max_edges}"
+            f"{DEFAULT_CLIQUE_COVER_EDGE_CAP}"
         )
     if not edges:
         return 0, CliqueCover(g, ())
@@ -93,16 +91,17 @@ def edge_clique_cover(
     return len(chosen), cover
 
 
-def chromatic_number(g: Graph, max_n: int = DEFAULT_CHROMATIC_MAX_N) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by iterative-deepening k-coloring.
 
     Vertices are branched in descending degree order; a new color may only be
     opened by the first vertex to use it, which kills color-permutation
     symmetry.
     """
-    if g.n > max_n:
+    if g.n > DEFAULT_CHROMATIC_MAX_N:
         raise CapacityError(
-            f"graph has {g.n} vertices, over the chromatic-number cap {max_n}"
+            f"graph has {g.n} vertices, over the chromatic-number cap "
+            f"{DEFAULT_CHROMATIC_MAX_N}"
         )
     if g.num_edges() == 0:
         return 1
@@ -187,12 +186,10 @@ def mycielski_lower_bound(
     return cor36_lower(exact_boxicity(g, max_complement_edges).value, _focal_count(g))
 
 
-def mycielski_upper_bound(
-    g: Graph, max_cover_edges: int = DEFAULT_CLIQUE_COVER_EDGE_CAP
-) -> int:
+def mycielski_upper_bound(g: Graph) -> int:
     """Upper bound for the boxicity of the Mycielski graph of g
     (``thm42_upper``)."""
-    theta, _ = edge_clique_cover(complement(g), max_cover_edges)
+    theta, _ = edge_clique_cover(complement(g))
     return thm42_upper(theta, _focal_count(g))
 
 
@@ -236,12 +233,10 @@ class ChromaticBoxicityCheck:
 
 
 def chromatic_boxicity_check(
-    g: Graph,
-    max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP,
-    max_chromatic_n: int = DEFAULT_CHROMATIC_MAX_N,
+    g: Graph, max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP
 ) -> ChromaticBoxicityCheck:
     box = exact_boxicity(g, max_complement_edges).value
-    chi = chromatic_number(g, max_chromatic_n)
+    chi = chromatic_number(g)
     s = Fraction(g.n, 2) - box
     if s < 0:
         raise SelfCheckError(
@@ -285,15 +280,19 @@ def compute_bounds_report(
     max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP,
 ) -> BoundsReport:
     """All applicable bounds on the boxicity of the r-copy Mycielski graph
-    of g, cross-validated (crossed bounds raise, signalling a bug)."""
+    of g, cross-validated (crossed bounds raise, signalling a bug). Box, the
+    focal count and the complement's clique cover number are computed once."""
     myc, _ = mycielski(g, r)
+    box = exact_boxicity(g, max_complement_edges).value
+    focal = _focal_count(g)
     lower = [
-        (mycielski_lower_bound(g, r, max_complement_edges), "cor3.6"),
+        (cor36_lower(box, focal), "cor3.6"),
         (matching_lower_bound(myc), "lemma3.3"),
     ]
     upper = []
     if r == 2:
-        upper.append((mycielski_upper_bound(g), "thm4.2"))
+        theta, _ = edge_clique_cover(complement(g))
+        upper.append((thm42_upper(theta, focal), "thm4.2"))
     upper.append((myc.n // 2, "roberts-floor-n/2"))
     chi_myc = None
     if r == 2:

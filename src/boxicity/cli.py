@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .bounds import (
     _focal_count,
@@ -32,7 +32,7 @@ from .engine import (
     verify_cointerval_cover,
 )
 from .errors import CapacityError, NotIntervalError, SelfCheckError
-from .generators import focalize, gen_family, mycielski
+from .generators import gen_family, mycielski
 from .graphs import complement, graph6_decode, graph6_encode, to_dot
 from .intervals import interval_representation
 
@@ -48,10 +48,6 @@ SURVEY_DIRECT_EDGE_LIMIT = 20
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = gen_family(args.spec)
-    if args.focalize:
-        g = focalize(g, args.focalize)
-    if args.r:
-        g, _ = mycielski(g, args.r)
     sys.stdout.write(to_dot(g) if args.dot else graph6_encode(g) + "\n")
     return 0
 
@@ -138,24 +134,13 @@ class SurveyRow:
     chk_chi_plus1: bool
 
     def to_csv(self) -> str:
-        flags = [self.chk_cor36, self.chk_thm42, self.chk_thm11, self.chk_chi_plus1]
         return ",".join(
-            [
-                self.graph6,
-                str(self.n),
-                str(self.m),
-                str(self.box),
-                str(self.chi),
-                str(self.theta_comp),
-                str(self.focal),
-                str(self.lb_cor36),
-                str(self.ub_thm42),
-            ]
-            + ["pass" if f else "fail" for f in flags]
+            ("pass" if v else "fail") if isinstance(v, bool) else str(v)
+            for v in astuple(self)
         )
 
     def all_pass(self) -> bool:
-        return self.chk_cor36 and self.chk_thm42 and self.chk_thm11 and self.chk_chi_plus1
+        return all(v for v in astuple(self) if isinstance(v, bool))
 
 
 def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyRow:
@@ -237,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spec",
         help="complete:N | empty:N | path:N | cycle:N | star:N | "
         "multipartite:N1,N2,... | mycielski:<spec>:R | focalize:<spec>:T",
-    )
-    p.add_argument("--focalize", type=int, metavar="T", help="focalize T times")
-    p.add_argument(
-        "--r", type=int, metavar="R",
-        help="wrap in the R-copy Mycielski construction (after --focalize)",
     )
     p.add_argument("--dot", action="store_true", help="emit DOT instead of graph6")
     p.set_defaults(func=_cmd_gen)

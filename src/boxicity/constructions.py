@@ -9,7 +9,6 @@ failure here means a library bug, not a bad input, and raises hard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import SelfCheckError
@@ -78,52 +77,15 @@ def complete_mycielski_cover(n: int) -> CointervalCover:
     """Cointerval edge covering of the complement of the Mycielski graph of
     the complete graph on n vertices.
 
-    Uses half the vertex count rounded up many parts when n is odd and one
-    more when n is even, matching the known exact boxicity.
+    This is the Thm 4.2 cover with an empty clique cover: the complement of
+    the complete graph is edgeless and all n vertices are focal. It has half
+    of n rounded up many parts when n is odd and one more when n is even,
+    matching the known exact boxicity.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    myc, layout = mycielski(complete_graph(n), 2)
-    host = complement(myc)
-    base = list(range(n))
-    parts = [_apex_cover_part(host, layout, base)]
-    parts += _matching_pair_parts(host, layout, base)
-    cover = CointervalCover(host, tuple(parts))
-    verdict = verify_cointerval_cover(myc, cover)
-    if not verdict:
-        raise SelfCheckError(f"complete-graph cover failed to verify: {verdict.reason}")
-    return cover
-
-
-@dataclass(frozen=True)
-class ConstructionPlan:
-    """Ingredients for the clique-cover-based Mycielski cover: the base graph,
-    the Mycielski vertex layout, an edge clique cover of the complement of the
-    base, and the base's focal vertices in ascending id order.
-
-    Every base vertex lies in a cover clique or is focal (focal vertices are
-    exactly the isolated vertices of the complement).
-    """
-
-    base: Graph
-    layout: MycielskiLayout
-    clique_cover: CliqueCover
-    focal: tuple[int, ...]
-
-
-def construction_plan(g: Graph, cover: CliqueCover) -> ConstructionPlan:
-    verdict = verify_clique_cover(complement(g), cover)
-    if not verdict:
-        raise ValueError(f"clique cover does not verify: {verdict.reason}")
-    focal = tuple(sorted(focal_vertices(g)))
-    placed = set(focal)
-    for clique in cover.cliques:
-        placed |= set(clique)
-    if placed != set(range(g.n)):
-        raise SelfCheckError(
-            "cover cliques plus focal vertices do not exhaust the vertex set"
-        )
-    return ConstructionPlan(g, MycielskiLayout(g.n, 2), cover, focal)
+    g = complete_graph(n)
+    return mycielski_cover(g, CliqueCover(complement(g), ()))
 
 
 def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
@@ -132,17 +94,24 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
 
     One part per cover clique (the clique's first copies joined with all
     second copies and the apex, stripped of the cross and outside-pair edges),
-    plus the matching-style parts over the focal vertices. The part count is
-    at most the cover size plus half the focal count rounded up, plus one more
-    only when the focal count is even and positive.
+    plus the matching-style parts over the focal vertices, in ascending id
+    order. The part count is at most the cover size plus half the focal count
+    rounded up, plus one more only when the focal count is even and positive.
     """
-    plan = construction_plan(g, cover)
+    verdict = verify_clique_cover(complement(g), cover)
+    if not verdict:
+        raise ValueError(f"clique cover does not verify: {verdict.reason}")
+    focal = sorted(focal_vertices(g))
+    everyone = set(range(g.n))
+    if set(focal).union(*cover.cliques) != everyone:
+        raise SelfCheckError(
+            "cover cliques plus focal vertices do not exhaust the vertex set"
+        )
     myc, layout = mycielski(g, 2)
     host = complement(myc)
-    everyone = set(range(g.n))
 
     parts = []
-    for clique in plan.clique_cover.cliques:
+    for clique in cover.cliques:
         inside = set(clique)
         outside = everyone - inside
         verts = {layout.copy(1, v) for v in inside}
@@ -156,7 +125,6 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
         cut |= {layout.copy(2, y): second_out | first_in for y in outside}
         parts.append(_induced_part(host, verts, cut))
 
-    focal = list(plan.focal)
     if focal:
         parts.append(_apex_cover_part(host, layout, focal))
         parts += _matching_pair_parts(host, layout, focal)

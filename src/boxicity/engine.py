@@ -107,7 +107,7 @@ class BoxicityResult:
     family_size: int
 
 
-def _is_cointerval_edge_list(host_n: int, pairs: Sequence[tuple[int, int]]) -> bool:
+def _is_cointerval_edge_list(pairs: Sequence[tuple[int, int]]) -> bool:
     """Cointervality of the spanning subgraph on the listed edges.
 
     Isolated vertices become focal in the complement and never affect
@@ -130,9 +130,7 @@ def _is_cointerval_edge_list(host_n: int, pairs: Sequence[tuple[int, int]]) -> b
     return _is_interval_masks(t, comp)
 
 
-def _maximal_cointerval_masks(
-    host_n: int, edges: list[tuple[int, int]]
-) -> tuple[list[int], int]:
+def _maximal_cointerval_masks(edges: list[tuple[int, int]]) -> tuple[list[int], int]:
     """All inclusion-maximal cointerval subsets of ``edges``.
 
     Returns bitmasks indexed by position in ``edges`` plus the node count of
@@ -192,7 +190,7 @@ def _maximal_cointerval_masks(
             # Alive clauses cannot reach a leaf: the branch filters drop them
             # as satisfied or prune the branch as unrepairable.
             pairs = [internal[p] for p in _bit_list(chosen)]
-            if _is_cointerval_edge_list(host_n, pairs):
+            if _is_cointerval_edge_list(pairs):
                 size = chosen.bit_count()
                 at = 0
                 while at < len(found) and found_sizes[at] >= size:
@@ -255,7 +253,7 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
         )
     if not edges:
         return [0], 0
-    family, nodes = _maximal_cointerval_masks(host.n, edges)
+    family, nodes = _maximal_cointerval_masks(edges)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=lambda mask: [edges[p] for p in _bit_list(mask)])
     return family, nodes
@@ -407,7 +405,7 @@ def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
         if any(foreign):
             u, v = Graph(host.n, foreign).edges()[0]
             return Verdict(False, f"part {i} contains non-host edge {u}-{v}")
-        if not _is_cointerval_edge_list(host.n, part.edges()):
+        if not _is_cointerval_edge_list(part.edges()):
             return Verdict(False, f"part {i} is not cointerval")
         covered = [c | p for c, p in zip(covered, part.adj)]
     missing = tuple(h & ~c for h, c in zip(host.adj, covered))

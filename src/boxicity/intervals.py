@@ -8,6 +8,10 @@ representation (vertex -> [first clique index, last clique index]).
 ``chordal_at_free_oracle`` is a deliberately independent second implementation
 (perfect elimination ordering + brute-force asteroidal-triple search) used to
 cross-check the recognizer in tests; it shares no code with the clique route.
+
+Recognition needs no clique cap: a chordal graph, hence every interval graph,
+has at most as many maximal cliques as vertices (Fulkerson & Gross 1965), so
+each component's enumeration stops, and rejects, at one clique more.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, NotIntervalError
 from .graphs import Graph, complement, components_from_masks
 
-#: Cap on the number of maximal cliques enumerated per call.
+#: Cap on the number of maximal cliques ``maximal_cliques`` lists. Recognition
+#: needs none: it stops at one clique more than the component's vertex count.
 MAX_CLIQUES = 4096
 
 
@@ -30,18 +35,17 @@ def _bit_list(mask: int) -> list[int]:
     return out
 
 
-def _maximal_cliques_masks(adj: tuple[int, ...], within: int, cap: int) -> list[int]:
-    """Bron-Kerbosch with pivoting, restricted to the vertex mask ``within``."""
+def _maximal_cliques_masks(
+    adj: tuple[int, ...], within: int, limit: int
+) -> list[int] | None:
+    """Bron-Kerbosch with pivoting, restricted to the vertex mask ``within``;
+    None as soon as more than ``limit`` maximal cliques are found."""
     cliques: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: int, p: int, x: int) -> bool:
         if not p and not x:
             cliques.append(r)
-            if len(cliques) > cap:
-                raise CapacityError(
-                    f"maximal clique count exceeds cap {cap} (MAX_CLIQUES)"
-                )
-            return
+            return len(cliques) <= limit
         px = p | x
         best_v = -1
         best_cover = -1
@@ -59,17 +63,22 @@ def _maximal_cliques_masks(adj: tuple[int, ...], within: int, cap: int) -> list[
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            expand(r | low, p & adj[v], x & adj[v])
+            if not expand(r | low, p & adj[v], x & adj[v]):
+                return False
             p ^= low
             x |= low
+        return True
 
-    expand(0, within, 0)
-    return cliques
+    return cliques if expand(0, within, 0) else None
 
 
-def maximal_cliques(g: Graph, cap: int = MAX_CLIQUES) -> list[tuple[int, ...]]:
+def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each sorted internally, listed lexicographically."""
-    masks = _maximal_cliques_masks(g.adj, (1 << g.n) - 1, cap)
+    masks = _maximal_cliques_masks(g.adj, (1 << g.n) - 1, MAX_CLIQUES)
+    if masks is None:
+        raise CapacityError(
+            f"maximal clique count exceeds cap {MAX_CLIQUES} (MAX_CLIQUES)"
+        )
     return sorted(tuple(_bit_list(m)) for m in masks)
 
 
@@ -99,17 +108,14 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     return order if extend(0, 0, 0) else None
 
 
-def _component_clique_orders(
-    adj: tuple[int, ...], n: int, cap: int
-) -> list[list[int]] | None:
+def _component_clique_orders(adj: tuple[int, ...], n: int) -> list[list[int]] | None:
     """Ordered maximal-clique masks per component (components by smallest
     vertex), or None when some component has no consecutive arrangement."""
     result = []
     for comp in components_from_masks(n, adj):
-        cliques = _maximal_cliques_masks(adj, comp, cap)
-        # Interval graphs are chordal, and chordal graphs have at most as many
-        # maximal cliques as vertices: more cliques means a safe early reject.
-        if len(cliques) > comp.bit_count():
+        # More cliques than vertices means not chordal, hence not interval.
+        cliques = _maximal_cliques_masks(adj, comp, comp.bit_count())
+        if cliques is None:
             return None
         cliques.sort(key=_bit_list)
         order = _consecutive_order(cliques)
@@ -119,8 +125,8 @@ def _component_clique_orders(
     return result
 
 
-def _is_interval_masks(n: int, adj: tuple[int, ...], cap: int = MAX_CLIQUES) -> bool:
-    return _component_clique_orders(adj, n, cap) is not None
+def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
+    return _component_clique_orders(adj, n) is not None
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,14 @@ class RecognitionResult:
         return "interval" if self.interval else "not-interval"
 
 
-def is_interval(g: Graph, cap: int = MAX_CLIQUES) -> RecognitionResult:
+def is_interval(g: Graph) -> RecognitionResult:
     """Decide intervality; deterministic, certificate-producing.
 
     The witness is assembled per connected component (components in order of
     smallest vertex, each component's clique permutations explored in
     lexicographic order, first valid one kept).
     """
-    ordered = _component_clique_orders(g.adj, g.n, cap)
+    ordered = _component_clique_orders(g.adj, g.n)
     if ordered is None:
         return RecognitionResult(False, reason="no consecutive clique ordering")
     witness = tuple(
@@ -168,14 +174,14 @@ class IntervalRep:
         return "".join(f"{v} {lo} {hi}\n" for v, (lo, hi) in enumerate(self.intervals))
 
 
-def interval_representation(g: Graph, cap: int = MAX_CLIQUES) -> IntervalRep:
+def interval_representation(g: Graph) -> IntervalRep:
     """Interval representation from the witness clique order.
 
     Components are laid out left to right on disjoint integer ranges with a
     one-slot gap between consecutive components; within a component, vertex v
     maps to [first index, last index] of the cliques containing it.
     """
-    ordered = _component_clique_orders(g.adj, g.n, cap)
+    ordered = _component_clique_orders(g.adj, g.n)
     if ordered is None:
         raise NotIntervalError("graph is not interval, no representation exists")
     lo = [-1] * g.n
@@ -191,9 +197,9 @@ def interval_representation(g: Graph, cap: int = MAX_CLIQUES) -> IntervalRep:
     return IntervalRep(tuple(zip(lo, hi)))
 
 
-def is_cointerval(g: Graph, cap: int = MAX_CLIQUES) -> bool:
+def is_cointerval(g: Graph) -> bool:
     """True iff the complement is an interval graph."""
-    return is_interval(complement(g), cap).interval
+    return is_interval(complement(g)).interval
 
 
 def chordal_at_free_oracle(g: Graph) -> bool:

@@ -120,7 +120,7 @@ class TestEdgeCliqueCover:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            edge_clique_cover(complete_graph(10), max_edges=40)
+            edge_clique_cover(complete_graph(10))
 
 
 class TestChromaticNumber:

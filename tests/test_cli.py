@@ -5,8 +5,8 @@ import sys
 from collections import Counter
 
 from boxicity import bounds, cli, constructions
-from boxicity.generators import complete_graph, cycle_graph, mycielski
-from boxicity.graphs import graph6_decode, graph6_encode
+from boxicity.generators import complete_graph, cycle_graph, focalize, mycielski
+from boxicity.graphs import Graph, complement, graph6_decode, graph6_encode
 
 
 def run_cli(args, capsys):
@@ -30,13 +30,10 @@ class TestGen:
             assert graph6_encode(graph6_decode(text)) == text
 
     def test_wrapping_flags(self, capsys):
-        code, flagged, _ = run_cli(
-            ["gen", "cycle:4", "--focalize", "1", "--r", "2"], capsys
-        )
-        assert code == 0
         code, nested, _ = run_cli(["gen", "mycielski:focalize:cycle:4:1:2"], capsys)
         assert code == 0
-        assert flagged == nested
+        want = graph6_encode(mycielski(focalize(cycle_graph(4), 1), 2)[0])
+        assert nested == want + "\n"
 
     def test_dot(self, capsys):
         code, out, _ = run_cli(["gen", "path:3", "--dot"], capsys)
@@ -118,6 +115,14 @@ class TestInterval:
         code, out, _ = run_cli(["interval", "C]"], capsys)
         assert code == 0
         assert out.strip() == "not-interval"
+
+    def test_many_cliques_answered_not_interval(self, capsys):
+        # Complement of a perfect matching on 26 vertices: 8192 maximal
+        # cliques, more than MAX_CLIQUES, yet recognition needs no cap.
+        g = complement(Graph.from_edges(26, [(v, v + 1) for v in range(0, 26, 2)]))
+        code, out, _ = run_cli(["interval", graph6_encode(g)], capsys)
+        assert code == 0
+        assert out == "not-interval\n"
 
 
 class TestCoverCommands:

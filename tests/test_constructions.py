@@ -1,9 +1,10 @@
+import hashlib
+
 import pytest
 
 from boxicity.bounds import CliqueCover, edge_clique_cover, mycielski_kn_boxicity
 from boxicity.constructions import (
     complete_mycielski_cover,
-    construction_plan,
     mycielski_cover,
 )
 from boxicity.engine import format_cover, verify_cointerval_cover
@@ -56,6 +57,14 @@ class TestCompleteMycielskiCover:
         from boxicity.engine import exact_boxicity
 
         assert len(complete_mycielski_cover(3).parts) == exact_boxicity(myc).value
+
+    def test_certificates_digest(self):
+        # Pins the certificate text of the cover for n = 2..8.
+        text = "".join(format_cover(complete_mycielski_cover(n)) for n in range(2, 9))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == (
+            "999cb22efad1d3ca8776b56945d8ada1a28f3e8dbc7ca467486c800d5226faab"
+        )
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
@@ -128,19 +137,9 @@ class TestMycielskiCover:
 
 
 class TestConstructionPlan:
-    def test_partition_invariant(self):
-        g = star_graph(3)
-        _, cover = edge_clique_cover(complement(g))
-        plan = construction_plan(g, cover)
-        placed = set(plan.focal)
-        for clique in plan.clique_cover.cliques:
-            placed |= set(clique)
-        assert placed == set(range(g.n))
-        assert plan.focal == (0,)
-
     def test_rejects_incomplete_cover(self):
         g = cycle_graph(4)
         comp = complement(g)
         partial = CliqueCover(comp, (tuple(sorted(comp.edges()[0])),))
         with pytest.raises(ValueError):
-            construction_plan(g, partial)
+            mycielski_cover(g, partial)

@@ -21,6 +21,10 @@ from boxicity.intervals import (
 )
 
 
+def perfect_matching(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
+
+
 def reconstruct(rep, n):
     """Intersection graph of an interval representation (test oracle)."""
     edges = [
@@ -43,8 +47,10 @@ class TestMaximalCliques:
         assert maximal_cliques(path_graph(4)) == [(0, 1), (1, 2), (2, 3)]
 
     def test_cap(self):
+        # The complement of a perfect matching on 26 vertices has 2^13 = 8192
+        # maximal cliques, one vertex from each non-edge.
         with pytest.raises(CapacityError, match="MAX_CLIQUES"):
-            maximal_cliques(cycle_graph(6), cap=2)
+            maximal_cliques(complement(perfect_matching(26)))
 
 
 class TestIsInterval:
@@ -128,6 +134,14 @@ class TestCointerval:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert complement(g) == Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         assert not is_cointerval(g)
+
+    def test_perfect_matchings_are_not(self):
+        # The complements have far more maximal cliques than vertices, so
+        # recognition rejects them without enumerating all cliques.
+        for n in (26, 64):
+            m = perfect_matching(n)
+            assert not is_interval(complement(m)).interval
+            assert is_cointerval(m) is False
 
     def test_isolated_vertices_do_not_matter(self, graphs_by_n):
         for g in graphs_by_n[4]:
