@@ -259,12 +259,10 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
     return family, nodes
 
 
-def maximal_cointerval_family(
-    host: Graph, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP
-) -> list[Graph]:
+def maximal_cointerval_family(host: Graph) -> list[Graph]:
     """All inclusion-maximal cointerval edge subsets of the host graph, as
     spanning subgraphs, ordered lexicographically by sorted edge list."""
-    family, _ = _maximal_cointerval_family_masks(host, cap)
+    family, _ = _maximal_cointerval_family_masks(host, DEFAULT_COMPLEMENT_EDGE_CAP)
     edges = host.edges()
     return [
         Graph.from_edges(host.n, (edges[p] for p in _bit_list(mask))) for mask in family
@@ -549,12 +547,7 @@ def _max_clique(adj: list[int]) -> int:
     return best
 
 
-def pair_lower_bound(
-    g: Graph,
-    h1: Iterable[int],
-    h2: Iterable[int],
-    max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP,
-) -> int:
+def pair_lower_bound(g: Graph, h1: Iterable[int], h2: Iterable[int]) -> int:
     """Additive lower bound from two complement-induced subgraphs at
     complement distance at least 2: boxicity of g is at least the sum of the
     boxicities of the complements of those induced subgraphs."""
@@ -573,7 +566,7 @@ def pair_lower_bound(
     total = 0
     for s in (s1, s2):
         sub = induced_subgraph(comp, s)
-        total += exact_boxicity(complement(sub), max_complement_edges).value
+        total += exact_boxicity(complement(sub)).value
     return total
 
 

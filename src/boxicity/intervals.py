@@ -1,28 +1,35 @@
 """Interval and cointerval graph recognition with explicit representations.
 
-Recognition follows the clique-ordering characterization: a graph is interval
-iff its maximal cliques admit a linear order in which the cliques containing
-any fixed vertex are consecutive. The witness order doubles as the interval
-representation (vertex -> [first clique index, last clique index]).
+The decision comes first and is polynomial: a graph is interval iff it has no
+induced 4-cycle and its complement is transitively orientable (Gilmore &
+Hoffman 1964), tested on neighbour bitmasks by forcing implication classes
+(Golumbic 1977). The engine's leaf test calls only the decision.
+
+Only an interval graph gets a witness, built after the decision: its maximal
+cliques in a linear order in which the cliques containing any fixed vertex
+are consecutive, found by the first valid order of a lexicographic
+permutation search (exponential in the worst case). The order doubles as the
+interval representation (vertex -> [first clique index, last clique index]).
+A search that finds no order, or a component with more maximal cliques than
+vertices (an interval graph is chordal, so it has at most n, Fulkerson &
+Gross 1965), contradicts the decision and raises ``SelfCheckError``.
 
 ``chordal_at_free_oracle`` is a deliberately independent second implementation
 (perfect elimination ordering + brute-force asteroidal-triple search) used to
-cross-check the recognizer in tests; it shares no code with the clique route.
-
-Recognition needs no clique cap: a chordal graph, hence every interval graph,
-has at most as many maximal cliques as vertices (Fulkerson & Gross 1965), so
-each component's enumeration stops, and rejects, at one clique more.
+cross-check the recognizer in tests; it shares no code with the decision or
+the clique route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, NotIntervalError
+from .errors import CapacityError, NotIntervalError, SelfCheckError
 from .graphs import Graph, complement, components_from_masks
 
 #: Cap on the number of maximal cliques ``maximal_cliques`` lists. Recognition
-#: needs none: it stops at one clique more than the component's vertex count.
+#: needs none: it decides without cliques, and the witness search stops at one
+#: clique more than the component's vertex count.
 MAX_CLIQUES = 4096
 
 
@@ -108,25 +115,92 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     return order if extend(0, 0, 0) else None
 
 
-def _component_clique_orders(adj: tuple[int, ...], n: int) -> list[list[int]] | None:
-    """Ordered maximal-clique masks per component (components by smallest
-    vertex), or None when some component has no consecutive arrangement."""
-    result = []
-    for comp in components_from_masks(n, adj):
-        # More cliques than vertices means not chordal, hence not interval.
-        cliques = _maximal_cliques_masks(adj, comp, comp.bit_count())
-        if cliques is None:
-            return None
-        cliques.sort(key=_bit_list)
-        order = _consecutive_order(cliques)
-        if order is None:
-            return None
-        result.append([cliques[i] for i in order])
-    return result
+def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
+    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
+    is: an induced 4-cycle, or a complement that is not transitively
+    orientable (Gilmore & Hoffman 1964).
+
+    The complement is oriented one implication class at a time (Golumbic
+    1977): orienting edge ab as a->b forces a->c for every complement
+    neighbour c of a that is not a complement neighbour of b, and c->b for
+    every complement neighbour c of b that is not one of a. The complement is
+    transitively orientable iff no class forces an edge both ways. Classes
+    are disjoint, so ``out``/``into`` accumulate over all of them.
+    """
+    full = (1 << n) - 1
+    for u in range(n):
+        # Two non-adjacent vertices whose common neighbours are not a clique.
+        far = full & ~adj[u] & ~((2 << u) - 1)
+        while far:
+            low = far & -far
+            far ^= low
+            common = adj[u] & adj[low.bit_length() - 1]
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if common & ~adj[low.bit_length() - 1] & ~low:
+                    return "induced 4-cycle"
+    co = [full & ~adj[v] & ~(1 << v) for v in range(n)]
+    out = [0] * n  # out[a]: vertices b with a->b oriented
+    into = [0] * n  # into[b]: vertices a with a->b oriented
+    for a0 in range(n):
+        fresh = co[a0] & ~out[a0] & ~into[a0]
+        while fresh:
+            b0 = (fresh & -fresh).bit_length() - 1
+            out[a0] |= 1 << b0
+            into[b0] |= 1 << a0
+            stack = [(a0, b0)]
+            while stack:
+                a, b = stack.pop()
+                forced = co[a] & ~co[b] & ~(1 << b) & ~out[a]
+                if forced:
+                    if forced & into[a]:
+                        return "complement not transitively orientable"
+                    out[a] |= forced
+                    while forced:
+                        low = forced & -forced
+                        forced ^= low
+                        c = low.bit_length() - 1
+                        into[c] |= 1 << a
+                        stack.append((a, c))
+                forced = co[b] & ~co[a] & ~(1 << a) & ~into[b]
+                if forced:
+                    if forced & out[b]:
+                        return "complement not transitively orientable"
+                    into[b] |= forced
+                    while forced:
+                        low = forced & -forced
+                        forced ^= low
+                        c = low.bit_length() - 1
+                        out[c] |= 1 << b
+                        stack.append((c, b))
+            fresh = co[a0] & ~out[a0] & ~into[a0]
+    return None
 
 
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
-    return _component_clique_orders(adj, n) is not None
+    return _rejection(n, adj) is None
+
+
+def _component_clique_orders(g: Graph) -> list[list[int]]:
+    """Witness for an interval graph: ordered maximal-clique masks per
+    component (components by smallest vertex). Raises SelfCheckError when the
+    clique search contradicts the decision that the graph is interval."""
+    result = []
+    for comp in components_from_masks(g.n, g.adj):
+        # An interval graph is chordal, so it has at most n maximal cliques.
+        cliques = _maximal_cliques_masks(g.adj, comp, comp.bit_count())
+        if cliques is None:
+            raise SelfCheckError(
+                "interval graph has a component with more maximal cliques than vertices"
+            )
+        cliques.sort(key=_bit_list)
+        order = _consecutive_order(cliques)
+        if order is None:
+            raise SelfCheckError("interval graph has no consecutive clique ordering")
+        result.append([cliques[i] for i in order])
+    return result
 
 
 @dataclass(frozen=True)
@@ -135,7 +209,8 @@ class RecognitionResult:
 
     On success ``clique_order`` is a witness: a linear order of all maximal
     cliques satisfying the consecutiveness condition. On failure ``reason``
-    carries a short note.
+    names the test that rejected: ``induced 4-cycle`` or ``complement not
+    transitively orientable``.
     """
 
     interval: bool
@@ -150,13 +225,15 @@ class RecognitionResult:
 def is_interval(g: Graph) -> RecognitionResult:
     """Decide intervality; deterministic, certificate-producing.
 
-    The witness is assembled per connected component (components in order of
+    The polynomial decision answers first; only an accepted graph runs the
+    clique-order search. The witness is assembled per connected component (components in order of
     smallest vertex, each component's clique permutations explored in
     lexicographic order, first valid one kept).
     """
-    ordered = _component_clique_orders(g.adj, g.n)
-    if ordered is None:
-        return RecognitionResult(False, reason="no consecutive clique ordering")
+    reason = _rejection(g.n, g.adj)
+    if reason is not None:
+        return RecognitionResult(False, reason=reason)
+    ordered = _component_clique_orders(g)
     witness = tuple(
         tuple(_bit_list(m)) for comp_order in ordered for m in comp_order
     )
@@ -181,9 +258,9 @@ def interval_representation(g: Graph) -> IntervalRep:
     one-slot gap between consecutive components; within a component, vertex v
     maps to [first index, last index] of the cliques containing it.
     """
-    ordered = _component_clique_orders(g.adj, g.n)
-    if ordered is None:
+    if not _is_interval_masks(g.n, g.adj):
         raise NotIntervalError("graph is not interval, no representation exists")
+    ordered = _component_clique_orders(g)
     lo = [-1] * g.n
     hi = [-1] * g.n
     offset = 0

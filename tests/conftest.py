@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from boxicity.corpus import all_graphs, connected_graphs
@@ -12,3 +15,13 @@ def graphs_by_n():
 @pytest.fixture(scope="session")
 def connected_by_n():
     return {n: connected_graphs(n) for n in range(1, 8)}
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a child interpreter with ``src`` first on its path, so
+    subprocesses import this checkout even when the package is not installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -1,11 +1,16 @@
 import hashlib
-import os
 import subprocess
 import sys
 from collections import Counter
 
-from boxicity import bounds, cli, constructions
-from boxicity.generators import complete_graph, cycle_graph, focalize, mycielski
+from boxicity import bounds, cli, constructions, intervals
+from boxicity.generators import (
+    complete_graph,
+    cycle_graph,
+    focalize,
+    mycielski,
+    path_graph,
+)
 from boxicity.graphs import Graph, complement, graph6_decode, graph6_encode
 
 
@@ -124,6 +129,12 @@ class TestInterval:
         assert code == 0
         assert out == "not-interval\n"
 
+    def test_witness_contradicting_decision_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(intervals, "_consecutive_order", lambda cliques: None)
+        code, out, err = run_cli(["interval", graph6_encode(path_graph(5))], capsys)
+        assert code == 4
+        assert out == "" and "self-check" in err
+
 
 class TestCoverCommands:
     def test_construct_and_verify(self, tmp_path, capsys):
@@ -239,7 +250,7 @@ class TestSurvey:
         assert "theorem check failed" in err
 
 
-def test_certificate_stable_across_hash_seeds(tmp_path):
+def test_certificate_stable_across_hash_seeds(tmp_path, src_env):
     """Byte-identical certificates from separate interpreter processes with
     different hash randomization seeds."""
     g6 = graph6_encode(mycielski(cycle_graph(4), 2)[0])
@@ -250,13 +261,13 @@ def test_certificate_stable_across_hash_seeds(tmp_path):
             capture_output=True,
             text=True,
             check=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed),
+            env=dict(src_env, PYTHONHASHSEED=seed),
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
 
 
-def test_console_entry_point_subprocess(tmp_path):
+def test_console_entry_point_subprocess(tmp_path, src_env):
     """End to end through a real process: box emits a certificate file that
     verify-cover accepts."""
     g6 = graph6_encode(mycielski(complete_graph(3), 2)[0])
@@ -266,11 +277,13 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True,
         text=True,
         check=True,
+        env=src_env,
     )
     assert out.stdout.splitlines()[0] == "box 2"
     verify = subprocess.run(
         [sys.executable, "-m", "boxicity", "verify-cover", g6, str(cert)],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert verify.returncode == 0 and verify.stdout.strip() == "accept"

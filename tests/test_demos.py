@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +9,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_demo_exits_zero(demo, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True, env=src_env
     )
     assert proc.returncode == 0, proc.stderr

@@ -128,7 +128,7 @@ class TestMaximalFamily:
 
     def test_capacity_names_cap(self):
         with pytest.raises(CapacityError, match="max-complement-edges"):
-            maximal_cointerval_family(complete_graph(8), cap=24)
+            maximal_cointerval_family(complete_graph(8))
 
     def test_deterministic_and_sorted(self):
         host = complement(mycielski(complete_graph(3), 2)[0])

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from boxicity.errors import CapacityError, NotIntervalError
+from boxicity import intervals
+from boxicity.errors import CapacityError, NotIntervalError, SelfCheckError
 from boxicity.generators import (
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     empty_graph,
     mycielski,
@@ -13,6 +15,7 @@ from boxicity.generators import (
 )
 from boxicity.graphs import Graph, complement, disjoint_union, induced_subgraph
 from boxicity.intervals import (
+    _is_interval_masks,
     chordal_at_free_oracle,
     interval_representation,
     is_cointerval,
@@ -23,6 +26,25 @@ from boxicity.intervals import (
 
 def perfect_matching(n):
     return Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
+
+
+def spider(legs):
+    """A centre (vertex 0) with one path per entry of ``legs`` hanging off it."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph.from_edges(nxt, edges)
+
+
+def caterpillar(spine, leaves):
+    """A path of ``spine`` vertices with ``leaves`` pendant vertices on each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        edges += [(i, spine + i * leaves + j) for j in range(leaves)]
+    return Graph.from_edges(spine * (leaves + 1), edges)
 
 
 def reconstruct(rep, n):
@@ -167,6 +189,87 @@ class TestOracle:
         assert not is_interval(net).interval
 
     def test_matches_recognizer_small(self, graphs_by_n):
-        for n in range(1, 6):
+        for n in range(1, 8):
             for g in graphs_by_n[n]:
-                assert chordal_at_free_oracle(g) == is_interval(g).interval
+                want = chordal_at_free_oracle(g)
+                assert _is_interval_masks(g.n, g.adj) == want
+                assert is_interval(g).interval == want
+
+
+class TestDecision:
+    """The polynomial decision against the independent oracle. ``is_interval``
+    builds a witness with the exponential clique-order search on accepted
+    graphs, so on interval caterpillars it is compared up to 12 vertices only;
+    a 20-vertex caterpillar already takes it over 20 s."""
+
+    def test_spiders_up_to_64_vertices(self):
+        for legs in ([2, 2, 2], [1, 1, 5], [1, 2, 9], [5, 5, 5], [10, 10, 10],
+                     [20, 20, 20], [1, 1, 61], [21, 21, 21]):
+            g = spider(legs)
+            want = chordal_at_free_oracle(g)
+            assert _is_interval_masks(g.n, g.adj) == want
+            assert is_interval(g).interval == want
+
+    def test_caterpillars_up_to_64_vertices(self):
+        for spine, leaves in ((2, 1), (4, 1), (6, 1), (3, 3), (16, 3)):
+            g = caterpillar(spine, leaves)
+            assert chordal_at_free_oracle(g)
+            assert _is_interval_masks(g.n, g.adj)
+            if g.n <= 12:
+                assert is_interval(g).interval
+        # Lengthening the leaf of spine vertex 10 leaves a tree that is no
+        # caterpillar: its end and the two end leaves are an asteroidal triple.
+        g = Graph.from_edges(63, caterpillar(31, 1).edges() + [(41, 62)])
+        assert not chordal_at_free_oracle(g)
+        assert not _is_interval_masks(g.n, g.adj)
+        assert not is_interval(g).interval
+
+    def test_random_graphs_up_to_20_vertices(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randint(1, 20)
+            p = rng.random()
+            g = Graph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            want = chordal_at_free_oracle(g)
+            assert _is_interval_masks(g.n, g.adj) == want
+            assert is_interval(g).interval == want
+
+    def test_balanced_spider_61(self):
+        # Legs of 20: the three leg ends form an asteroidal triple. Deciding
+        # by clique-order search alone gave no answer in 100 s at 19 vertices.
+        result = is_interval(spider([20, 20, 20]))
+        assert result.verdict == "not-interval"
+        assert result.reason == "complement not transitively orientable"
+
+    def test_reasons(self):
+        assert is_interval(cycle_graph(4)).reason == "induced 4-cycle"
+        assert is_interval(complete_multipartite([2, 3])).reason == "induced 4-cycle"
+        assert is_interval(cycle_graph(5)).reason == (
+            "complement not transitively orientable"
+        )
+        assert is_interval(path_graph(5)).reason is None
+
+
+class TestWitnessSelfCheck:
+    def test_missing_clique_order_raises(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_consecutive_order", lambda cliques: None)
+        with pytest.raises(SelfCheckError):
+            is_interval(path_graph(5))
+        with pytest.raises(SelfCheckError):
+            interval_representation(path_graph(5))
+
+    def test_too_many_cliques_raises(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_maximal_cliques_masks", lambda *args: None)
+        with pytest.raises(SelfCheckError):
+            is_interval(path_graph(5))
+
+    def test_rejection_runs_no_search(self, monkeypatch):
+        def fail(cliques):
+            raise AssertionError("clique-order search ran on a rejected graph")
+
+        monkeypatch.setattr(intervals, "_consecutive_order", fail)
+        assert not is_interval(spider([2, 2, 2])).interval
+        with pytest.raises(NotIntervalError):
+            interval_representation(cycle_graph(5))
