@@ -115,9 +115,3 @@ def all_graphs(n: int) -> list[Graph]:
 def connected_graphs(n: int) -> list[Graph]:
     return [g for g in all_graphs(n) if is_connected(g)]
 
-
-def graphs_up_to(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(all_graphs(k))
-    return out

@@ -31,7 +31,9 @@ lexicographic on edge lists, so the last cover the pass records, which it
 returns as the certificate, is the first minimum cover in that order.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
-the spanning subgraph it denotes. Verification checks containment in the host
+the spanning subgraph it denotes. The scan's leaves and the verifier decide
+cointervality with the same function, ``_is_cointerval``, on the part's
+neighbour rows at host width. Verification checks containment in the host
 and coverage on neighbour masks, box building reads each part's complement
 directly, and parts become edge text only in ``format_cover``.
 
@@ -107,45 +109,38 @@ class BoxicityResult:
     family_size: int
 
 
-def _is_cointerval_edge_list(pairs: Sequence[tuple[int, int]]) -> bool:
-    """Cointervality of the spanning subgraph on the listed edges.
+def _is_cointerval(rows: Sequence[int]) -> bool:
+    """Cointervality of the graph on neighbour rows ``rows``.
 
-    Isolated vertices become focal in the complement and never affect
-    intervality, so the test runs on the support vertices only.
+    Isolated vertices are universal in the complement and never affect
+    intervality, so a part with at most three non-isolated vertices is
+    cointerval without a test.
     """
-    sup = 0
-    for u, v in pairs:
-        sup |= (1 << u) | (1 << v)
-    t = sup.bit_count()
-    if t <= 3:
+    if len(rows) - rows.count(0) <= 3:
         return True
-    verts = _bit_list(sup)
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = [0] * t
-    for u, v in pairs:
-        rows[pos[u]] |= 1 << pos[v]
-        rows[pos[v]] |= 1 << pos[u]
-    full = (1 << t) - 1
-    comp = tuple(full & ~rows[i] & ~(1 << i) for i in range(t))
-    return _is_interval_masks(t, comp)
+    n = len(rows)
+    full = (1 << n) - 1
+    return _is_interval_masks(
+        n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
+    )
 
 
-def _maximal_cointerval_masks(edges: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """All inclusion-maximal cointerval subsets of ``edges``.
+def _maximal_cointerval_masks(
+    n: int, edges: list[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """All inclusion-maximal cointerval subsets of ``edges`` on ``n`` vertices.
 
     Returns bitmasks indexed by position in ``edges`` plus the node count of
     the scan. See the module docstring for the pruning argument.
     """
     m = len(edges)
     # Most-conflicted edges first: deciding them early lets both prunes bite.
-    disjoint_count = [0] * m
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if a != c and a != d and b != c and b != d:
-                disjoint_count[i] += 1
-                disjoint_count[j] += 1
+    # Edge ab is disjoint from every edge except itself and those at a or b.
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    disjoint_count = [m + 1 - deg[a] - deg[b] for a, b in edges]
     perm = sorted(range(m), key=lambda i: (-disjoint_count[i], edges[i]))
     internal = [edges[i] for i in perm]
     slot = {e: p for p, e in enumerate(internal)}
@@ -189,8 +184,12 @@ def _maximal_cointerval_masks(edges: list[tuple[int, int]]) -> tuple[list[int], 
         if idx == m:
             # Alive clauses cannot reach a leaf: the branch filters drop them
             # as satisfied or prune the branch as unrepairable.
-            pairs = [internal[p] for p in _bit_list(chosen)]
-            if _is_cointerval_edge_list(pairs):
+            rows = [0] * n
+            for p in _bit_list(chosen):
+                a, b = internal[p]
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+            if _is_cointerval(rows):
                 size = chosen.bit_count()
                 at = 0
                 while at < len(found) and found_sizes[at] >= size:
@@ -234,12 +233,11 @@ def _maximal_cointerval_masks(edges: list[tuple[int, int]]) -> tuple[list[int], 
 
     rec(0, 0, [])
 
-    lex_pos = {e: i for i, e in enumerate(edges)}
     out = []
     for mask in found:
         lex_mask = 0
         for p in _bit_list(mask):
-            lex_mask |= 1 << lex_pos[internal[p]]
+            lex_mask |= 1 << perm[p]
         out.append(lex_mask)
     return out, nodes
 
@@ -253,7 +251,7 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
         )
     if not edges:
         return [0], 0
-    family, nodes = _maximal_cointerval_masks(edges)
+    family, nodes = _maximal_cointerval_masks(host.n, edges)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=lambda mask: [edges[p] for p in _bit_list(mask)])
     return family, nodes
@@ -403,7 +401,7 @@ def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
         if any(foreign):
             u, v = Graph(host.n, foreign).edges()[0]
             return Verdict(False, f"part {i} contains non-host edge {u}-{v}")
-        if not _is_cointerval_edge_list(part.edges()):
+        if not _is_cointerval(part.adj):
             return Verdict(False, f"part {i} is not cointerval")
         covered = [c | p for c, p in zip(covered, part.adj)]
     missing = tuple(h & ~c for h, c in zip(host.adj, covered))

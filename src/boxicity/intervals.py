@@ -3,7 +3,8 @@
 The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
 Hoffman 1964), tested on neighbour bitmasks by forcing implication classes
-(Golumbic 1977). The engine's leaf test calls only the decision.
+(Golumbic 1977). ``is_cointerval`` and the engine's cointervality test call
+only the decision.
 
 Only an interval graph gets a witness, built after the decision: its maximal
 cliques in a linear order in which the cliques containing any fixed vertex
@@ -275,8 +276,8 @@ def interval_representation(g: Graph) -> IntervalRep:
 
 
 def is_cointerval(g: Graph) -> bool:
-    """True iff the complement is an interval graph."""
-    return is_interval(complement(g)).interval
+    """True iff the complement is an interval graph; no witness is built."""
+    return _is_interval_masks(g.n, complement(g).adj)
 
 
 def chordal_at_free_oracle(g: Graph) -> bool:

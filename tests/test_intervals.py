@@ -170,6 +170,16 @@ class TestCointerval:
             padded = disjoint_union(g, empty_graph(2))
             assert is_cointerval(padded) == is_cointerval(g)
 
+    def test_decides_without_a_witness(self, monkeypatch):
+        # Complements of interval caterpillars are cointerval; answering must
+        # not run the exponential clique-order search.
+        def fail(cliques):
+            raise AssertionError("is_cointerval ran the clique-order search")
+
+        monkeypatch.setattr(intervals, "_consecutive_order", fail)
+        for spine in (10, 32):
+            assert is_cointerval(complement(caterpillar(spine, 1))) is True
+
 
 class TestOracle:
     def test_paths_pass(self):
@@ -194,6 +204,7 @@ class TestOracle:
                 want = chordal_at_free_oracle(g)
                 assert _is_interval_masks(g.n, g.adj) == want
                 assert is_interval(g).interval == want
+                assert is_cointerval(g) == chordal_at_free_oracle(complement(g))
 
 
 class TestDecision:
