@@ -11,14 +11,23 @@ Search architecture
 ``maximal_cointerval_family`` scans the subsets of the host's edge set.
 Cointervality is not monotone under adding or removing edges, so partial
 subsets cannot be pruned on cointervality itself; instead the scan walks an
-include-first binary decision tree over edges and prunes on two exact grounds:
+include-first binary decision tree over edges and prunes on three exact
+grounds:
 
 * a pair of chosen vertex-disjoint edges whose potential cross edges are all
   decided out can never be repaired, and every completion then contains an
   induced pair of independent edges, which no cointerval graph contains;
+* likewise five chosen edges forming a 5-cycle whose five potential chords
+  are all decided out: C5 is self-complementary and not chordal, so no
+  cointerval graph contains it as an induced subgraph. Cycles are found when
+  their last edge is chosen, from per-vertex rows of chosen neighbours;
 * a branch whose remaining potential edge set is contained in an
   already-found maximal subset cannot contribute a new maximal subset.
 
+Each of the first two grounds leaves a clause, the potential edges of which
+one must still be chosen, and the scan prunes as soon as a clause has no
+undecided edge left. The subsumption test is skipped at an include child,
+whose remaining potential edge set is its parent's, just found uncovered.
 Include-first order guarantees every superset of a subset is visited first,
 so a surviving cointerval leaf is inclusion-maximal. The result is exactly
 the brute-force family (asserted against a plain subset scan in the tests),
@@ -134,7 +143,7 @@ def _maximal_cointerval_masks(
     the scan. See the module docstring for the pruning argument.
     """
     m = len(edges)
-    # Most-conflicted edges first: deciding them early lets both prunes bite.
+    # Most-conflicted edges first: deciding them early lets the prunes bite.
     # Edge ab is disjoint from every edge except itself and those at a or b.
     deg = [0] * n
     for a, b in edges:
@@ -143,7 +152,10 @@ def _maximal_cointerval_masks(
     disjoint_count = [m + 1 - deg[a] - deg[b] for a, b in edges]
     perm = sorted(range(m), key=lambda i: (-disjoint_count[i], edges[i]))
     internal = [edges[i] for i in perm]
-    slot = {e: p for p, e in enumerate(internal)}
+    # pbit[u][v]: the scan bit of host edge uv, 0 for a non-edge.
+    pbit = [[0] * n for _ in range(n)]
+    for p, (a, b) in enumerate(internal):
+        pbit[a][b] = pbit[b][a] = 1 << p
 
     disj = [0] * m
     cross_req: dict[tuple[int, int], int] = {}
@@ -155,16 +167,12 @@ def _maximal_cointerval_masks(
                 continue
             disj[i] |= 1 << j
             disj[j] |= 1 << i
-            mask = 0
-            for x, y in ((a, c), (a, d), (b, c), (b, d)):
-                p = slot.get((x, y) if x < y else (y, x))
-                if p is not None:
-                    mask |= 1 << p
-            cross_req[(i, j)] = mask
+            cross_req[(i, j)] = pbit[a][c] | pbit[a][d] | pbit[b][c] | pbit[b][d]
 
     suffix = [((1 << m) - 1) >> i << i for i in range(m)] + [0]
     found: list[int] = []  # maximal masks, kept sorted by popcount descending
     found_sizes: list[int] = []
+    crow = [0] * n  # crow[v]: chosen neighbours of v on the current branch
     nodes = 0
 
     def covered(mask: int) -> bool:
@@ -176,20 +184,44 @@ def _maximal_cointerval_masks(
                 return True
         return False
 
+    def c5_clauses(a: int, b: int, future: int, out: list[int]) -> bool:
+        """Append the chord clause of each induced 5-cycle a-x-y-z-b that
+        chosen edge ab closes; False when one has no undecided chord left."""
+        ra, rb = crow[a], crow[b]
+        pa, pb = pbit[a], pbit[b]
+        ys_ok = ~(ra | rb | 1 << a | 1 << b)
+        xs = ra & ~rb
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            rx, px = crow[x], pbit[x]
+            zs = rb & ~ra & ~rx
+            while zs:
+                low = zs & -zs
+                zs ^= low
+                z = low.bit_length() - 1
+                ys = rx & crow[z] & ys_ok
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    y = low.bit_length() - 1
+                    c = pa[y] | pa[z] | pb[x] | pb[y] | px[z]
+                    if c & future == 0:
+                        return False
+                    out.append(c)
+        return True
+
     def rec(idx: int, chosen: int, clauses: list[int]) -> None:
         nonlocal nodes
         nodes += 1
-        if covered(chosen | suffix[idx]):
+        # An include child asks its parent's question, chosen | suffix[idx].
+        if idx and not chosen >> (idx - 1) & 1 and covered(chosen | suffix[idx]):
             return
         if idx == m:
             # Alive clauses cannot reach a leaf: the branch filters drop them
             # as satisfied or prune the branch as unrepairable.
-            rows = [0] * n
-            for p in _bit_list(chosen):
-                a, b = internal[p]
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-            if _is_cointerval(rows):
+            if _is_cointerval(crow):
                 size = chosen.bit_count()
                 at = 0
                 while at < len(found) and found_sizes[at] >= size:
@@ -223,8 +255,13 @@ def _maximal_cointerval_masks(
                     ok = False
                     break
                 new_clauses.append(c)
-            if ok:
-                rec(idx + 1, new_chosen, new_clauses)
+        a, b = internal[idx]
+        if ok and c5_clauses(a, b, future, new_clauses):
+            crow[a] |= 1 << b
+            crow[b] |= 1 << a
+            rec(idx + 1, new_chosen, new_clauses)
+            crow[a] ^= 1 << b
+            crow[b] ^= 1 << a
 
         for c in clauses:
             if c & future == 0:

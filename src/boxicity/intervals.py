@@ -4,7 +4,9 @@ The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
 Hoffman 1964), tested on neighbour bitmasks by forcing implication classes
 (Golumbic 1977). ``is_cointerval`` and the engine's cointervality test call
-only the decision.
+only the decision, which orients first: at the engine's scan leaves the
+orientation rejects nearly every input and the 4-cycle test none. A rejection
+``reason`` still names the 4-cycle first.
 
 Only an interval graph gets a witness, built after the decision: its maximal
 cliques in a linear order in which the cliques containing any fixed vertex
@@ -116,21 +118,11 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     return order if extend(0, 0, 0) else None
 
 
-def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
-    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
-    is: an induced 4-cycle, or a complement that is not transitively
-    orientable (Gilmore & Hoffman 1964).
-
-    The complement is oriented one implication class at a time (Golumbic
-    1977): orienting edge ab as a->b forces a->c for every complement
-    neighbour c of a that is not a complement neighbour of b, and c->b for
-    every complement neighbour c of b that is not one of a. The complement is
-    transitively orientable iff no class forces an edge both ways. Classes
-    are disjoint, so ``out``/``into`` accumulate over all of them.
-    """
+def _induced_c4(n: int, adj: tuple[int, ...]) -> bool:
+    """Whether the graph on neighbour rows ``adj`` has an induced 4-cycle:
+    two non-adjacent vertices whose common neighbours are not a clique."""
     full = (1 << n) - 1
     for u in range(n):
-        # Two non-adjacent vertices whose common neighbours are not a clique.
         far = full & ~adj[u] & ~((2 << u) - 1)
         while far:
             low = far & -far
@@ -141,7 +133,22 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 low = rest & -rest
                 rest ^= low
                 if common & ~adj[low.bit_length() - 1] & ~low:
-                    return "induced 4-cycle"
+                    return True
+    return False
+
+
+def _complement_orientable(n: int, adj: tuple[int, ...]) -> bool:
+    """Whether the complement of the graph on neighbour rows ``adj`` is
+    transitively orientable.
+
+    The complement is oriented one implication class at a time (Golumbic
+    1977): orienting edge ab as a->b forces a->c for every complement
+    neighbour c of a that is not a complement neighbour of b, and c->b for
+    every complement neighbour c of b that is not one of a. The complement is
+    transitively orientable iff no class forces an edge both ways. Classes
+    are disjoint, so ``out``/``into`` accumulate over all of them.
+    """
+    full = (1 << n) - 1
     co = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out = [0] * n  # out[a]: vertices b with a->b oriented
     into = [0] * n  # into[b]: vertices a with a->b oriented
@@ -157,7 +164,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 forced = co[a] & ~co[b] & ~(1 << b) & ~out[a]
                 if forced:
                     if forced & into[a]:
-                        return "complement not transitively orientable"
+                        return False
                     out[a] |= forced
                     while forced:
                         low = forced & -forced
@@ -168,7 +175,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 forced = co[b] & ~co[a] & ~(1 << a) & ~into[b]
                 if forced:
                     if forced & out[b]:
-                        return "complement not transitively orientable"
+                        return False
                     into[b] |= forced
                     while forced:
                         low = forced & -forced
@@ -177,11 +184,23 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                         out[c] |= 1 << b
                         stack.append((c, b))
             fresh = co[a0] & ~out[a0] & ~into[a0]
+    return True
+
+
+def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
+    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
+    is: an induced 4-cycle, tested first, or a complement that is not
+    transitively orientable (Gilmore & Hoffman 1964)."""
+    if _induced_c4(n, adj):
+        return "induced 4-cycle"
+    if not _complement_orientable(n, adj):
+        return "complement not transitively orientable"
     return None
 
 
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
-    return _rejection(n, adj) is None
+    """The decision alone, orientation first (see the module docstring)."""
+    return _complement_orientable(n, adj) and not _induced_c4(n, adj)
 
 
 def _component_clique_orders(g: Graph) -> list[list[int]]:

@@ -16,7 +16,8 @@ from boxicity.generators import (
     star_graph,
 )
 from boxicity.graphs import Graph, complement, graph6_encode, induced_subgraph, join
-from boxicity.intervals import is_interval
+from boxicity import engine
+from boxicity.intervals import _is_interval_masks, is_interval
 from boxicity.engine import (
     BoxRep,
     CointervalCover,
@@ -107,11 +108,44 @@ class TestMaximalFamily:
         )
 
     def test_matches_brute_oracle_on_corpus(self, graphs_by_n):
-        for n in (3, 4):
+        # From 5 vertices on, hosts hold 5-cycles, so the 5-cycle prune runs.
+        for n in (3, 4, 5, 6):
             for g in graphs_by_n[n]:
                 host = complement(g)
+                if n == 6 and host.num_edges() > 10:
+                    continue
                 fast = [p.edges() for p in maximal_cointerval_family(host)]
                 assert sorted(fast) == brute_maximal_family(host)
+
+    def test_five_cycle_never_reaches_a_leaf(self, monkeypatch):
+        # C5 is self-complementary and not chordal, so no cointerval part
+        # holds an induced 5-cycle; the scan must prune before such a leaf.
+        seen = []
+
+        def record(n, adj):
+            seen.append(adj)
+            return _is_interval_masks(n, adj)
+
+        monkeypatch.setattr(engine, "_is_interval_masks", record)
+        host = cycle_graph(5)
+        family = maximal_cointerval_family(host)
+        assert sorted(p.edges() for p in family) == brute_maximal_family(host)
+        assert seen
+        for adj in seen:
+            # Leaf inputs are complement rows: a host edge absent there is
+            # an edge of the part.
+            assert any(adj[u] >> v & 1 for u, v in host.edges())
+
+    def test_pinned_search_counters(self):
+        # Deterministic counters are the regression signal of the scan.
+        cases = [
+            (cycle_graph(8), 34620, 64),
+            (mycielski(path_graph(4), 2)[0], 35666, 46),
+            (mycielski(complete_graph(5), 2)[0], 5942, 20),
+        ]
+        for g, nodes, family_size in cases:
+            result = exact_boxicity(g)
+            assert (result.nodes_explored, result.family_size) == (nodes, family_size)
 
     def test_matches_brute_oracle_random_hosts(self):
         rng = random.Random(5)

@@ -16,6 +16,7 @@ from boxicity.generators import (
 from boxicity.graphs import Graph, complement, disjoint_union, induced_subgraph
 from boxicity.intervals import (
     _is_interval_masks,
+    _rejection,
     chordal_at_free_oracle,
     interval_representation,
     is_cointerval,
@@ -246,6 +247,19 @@ class TestDecision:
             want = chordal_at_free_oracle(g)
             assert _is_interval_masks(g.n, g.adj) == want
             assert is_interval(g).interval == want
+
+    def test_orientation_first_keeps_the_answer(self, graphs_by_n):
+        # The leaf decision orients first; the reason keeps the 4-cycle first.
+        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randint(8, 20)
+            p = rng.random()
+            graphs.append(Graph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            ))
+        for g in graphs:
+            assert _is_interval_masks(g.n, g.adj) == (_rejection(g.n, g.adj) is None)
 
     def test_balanced_spider_61(self):
         # Legs of 20: the three leg ends form an asteroidal triple. Deciding
