@@ -12,39 +12,49 @@ Search architecture
 Cointervality is not monotone under adding or removing edges, so partial
 subsets cannot be pruned on cointervality itself; instead the scan walks an
 include-first binary decision tree over edges and prunes on three exact
-grounds:
+grounds. The first two make every leaf cointerval without a test: a graph
+is cointerval iff it has no induced pair of independent edges (the
+complement of an induced 4-cycle) and is transitively orientable (Gilmore &
+Hoffman 1964).
 
 * a pair of chosen vertex-disjoint edges whose potential cross edges are all
   decided out can never be repaired, and every completion then contains an
-  induced pair of independent edges, which no cointerval graph contains;
-* likewise five chosen edges forming a 5-cycle whose five potential chords
-  are all decided out: C5 is self-complementary and not chordal, so no
-  cointerval graph contains it as an induced subgraph. Cycles are found when
-  their last edge is chosen, from per-vertex rows of chosen neighbours;
+  induced pair of independent edges. Such a pair leaves a clause, the
+  potential cross edges of which one must still be chosen, and the scan
+  prunes as soon as a clause has no undecided edge left;
+* an implication class that holds an edge both ways. Two chosen edges va
+  and vb whose pair ab is absent (no host edge, or decided out) must both
+  leave v or both enter v in any transitive orientation (Golumbic's Gamma).
+  The scan adds each such relation when its last edge is chosen or its pair
+  decided out, to a parity union-find over the edges' orientations that is
+  undone on backtrack; relations only accumulate along a branch, so a
+  parity conflict holds in every completion and prunes it. At a leaf the
+  relations are the part's whole Gamma, and a graph is transitively
+  orientable iff no class conflicts (Golumbic 1977, Thm 5.1);
 * a branch whose remaining potential edge set is contained in an
-  already-found maximal subset cannot contribute a new maximal subset.
+  already-found maximal subset cannot contribute a new maximal subset. The
+  test is skipped at an include child, whose remaining potential edge set is
+  its parent's, just found uncovered.
 
-Each of the first two grounds leaves a clause, the potential edges of which
-one must still be chosen, and the scan prunes as soon as a clause has no
-undecided edge left. The subsumption test is skipped at an include child,
-whose remaining potential edge set is its parent's, just found uncovered.
 Include-first order guarantees every superset of a subset is visited first,
-so a surviving cointerval leaf is inclusion-maximal. The result is exactly
-the brute-force family (asserted against a plain subset scan in the tests),
-just reached faster. Minimum set cover over the family is one branch-and-bound
-pass: branch on the uncovered edge lying in the fewest family members, bound
-by the ceiling of uncovered count over best single-set coverage, start from
-the size of a greedy cover, and after each cover found search only for
-strictly smaller ones. Family order, branch order and tie-breaks are
-lexicographic on edge lists, so the last cover the pass records, which it
-returns as the certificate, is the first minimum cover in that order.
+so with the third ground every leaf is inclusion-maximal. The result is
+exactly the brute-force family (asserted against a plain subset scan in the
+tests), just reached faster. Minimum set cover over the family is one
+branch-and-bound pass: branch on the uncovered edge lying in the fewest
+family members, bound by the ceiling of uncovered count over best
+single-set coverage, start from the size of a greedy cover, and after each
+cover found search only for strictly smaller ones. Family order, branch
+order and tie-breaks are lexicographic on edge lists, so the last cover the
+pass records, which it returns as the certificate, is the first minimum
+cover in that order.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
-the spanning subgraph it denotes. The scan's leaves and the verifier decide
-cointervality with the same function, ``_is_cointerval``, on the part's
-neighbour rows at host width. Verification checks containment in the host
-and coverage on neighbour masks, box building reads each part's complement
-directly, and parts become edge text only in ``format_cover``.
+the spanning subgraph it denotes. The verifier decides cointervality with
+``_is_cointerval`` on the part's neighbour rows at host width, the full
+interval decision on their complement, since a certificate may come from
+outside the scan. Verification checks containment in the host and coverage
+on neighbour masks, box building reads each part's complement directly, and
+parts become edge text only in ``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -152,28 +162,77 @@ def _maximal_cointerval_masks(
     disjoint_count = [m + 1 - deg[a] - deg[b] for a, b in edges]
     perm = sorted(range(m), key=lambda i: (-disjoint_count[i], edges[i]))
     internal = [edges[i] for i in perm]
-    # pbit[u][v]: the scan bit of host edge uv, 0 for a non-edge.
+    # pbit[u][v] and pos[u][v]: the scan bit and position of host edge uv
+    # (bit 0 for a non-edge); incident[v]: the scan bits of the edges at v.
     pbit = [[0] * n for _ in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    incident = [0] * n
+    # absent[v]: vertices u != v whose pair uv is not a host edge or is
+    # decided out on the current branch, so no completion holds it.
+    absent = [((1 << n) - 1) ^ 1 << v for v in range(n)]
     for p, (a, b) in enumerate(internal):
         pbit[a][b] = pbit[b][a] = 1 << p
-
-    disj = [0] * m
-    cross_req: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        a, b = internal[i]
-        for j in range(i + 1, m):
-            c, d = internal[j]
-            if a == c or a == d or b == c or b == d:
-                continue
-            disj[i] |= 1 << j
-            disj[j] |= 1 << i
-            cross_req[(i, j)] = pbit[a][c] | pbit[a][d] | pbit[b][c] | pbit[b][d]
-
+        pos[a][b] = pos[b][a] = p
+        incident[a] |= 1 << p
+        incident[b] |= 1 << p
+        absent[a] ^= 1 << b
+        absent[b] ^= 1 << a
     suffix = [((1 << m) - 1) >> i << i for i in range(m)] + [0]
+    disj = [suffix[0] & ~incident[a] & ~incident[b] for a, b in internal]
+
     found: list[int] = []  # maximal masks, kept sorted by popcount descending
     found_sizes: list[int] = []
     crow = [0] * n  # crow[v]: chosen neighbours of v on the current branch
+    # Implication classes as a parity union-find over the orientation bits of
+    # the host edges: bit 0 orients uv with u < v from u to v. Union by rank,
+    # no path compression, so ``undo`` can detach the roots ``log`` records.
+    parent = list(range(m))
+    rank = [0] * m
+    flip = [0] * m  # orientation of p relative to parent[p]
+    log: list[int] = []  # attached roots; ~q where the new root's rank grew
     nodes = 0
+
+    def relate(p: int, q: int, d: int) -> bool:
+        """Record that p and q have relative orientation d; False when their
+        class already holds the opposite, so it holds an edge both ways."""
+        while parent[p] != p:
+            d ^= flip[p]
+            p = parent[p]
+        while parent[q] != q:
+            d ^= flip[q]
+            q = parent[q]
+        if p == q:
+            return not d
+        if rank[p] < rank[q]:
+            p, q = q, p
+        parent[q] = p
+        flip[q] = d
+        if rank[p] == rank[q]:
+            rank[p] += 1
+            log.append(~q)
+        else:
+            log.append(q)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(log) > mark:
+            q = log.pop()
+            if q < 0:
+                q = ~q
+                rank[parent[q]] -= 1
+            parent[q] = q
+
+    def joins(v: int, p: int, w: int, others: int) -> bool:
+        """Relate edge p = vw to each chosen edge vc, c in ``others``: with
+        wc absent, both must leave v or both enter it (Golumbic's Gamma)."""
+        pv, side = pos[v], v > w
+        while others:
+            low = others & -others
+            others ^= low
+            c = low.bit_length() - 1
+            if not relate(p, pv[c], side ^ (v > c)):
+                return False
+        return True
 
     def covered(mask: int) -> bool:
         size = mask.bit_count()
@@ -184,34 +243,6 @@ def _maximal_cointerval_masks(
                 return True
         return False
 
-    def c5_clauses(a: int, b: int, future: int, out: list[int]) -> bool:
-        """Append the chord clause of each induced 5-cycle a-x-y-z-b that
-        chosen edge ab closes; False when one has no undecided chord left."""
-        ra, rb = crow[a], crow[b]
-        pa, pb = pbit[a], pbit[b]
-        ys_ok = ~(ra | rb | 1 << a | 1 << b)
-        xs = ra & ~rb
-        while xs:
-            low = xs & -xs
-            xs ^= low
-            x = low.bit_length() - 1
-            rx, px = crow[x], pbit[x]
-            zs = rb & ~ra & ~rx
-            while zs:
-                low = zs & -zs
-                zs ^= low
-                z = low.bit_length() - 1
-                ys = rx & crow[z] & ys_ok
-                while ys:
-                    low = ys & -ys
-                    ys ^= low
-                    y = low.bit_length() - 1
-                    c = pa[y] | pa[z] | pb[x] | pb[y] | px[z]
-                    if c & future == 0:
-                        return False
-                    out.append(c)
-        return True
-
     def rec(idx: int, chosen: int, clauses: list[int]) -> None:
         nonlocal nodes
         nodes += 1
@@ -219,18 +250,19 @@ def _maximal_cointerval_masks(
         if idx and not chosen >> (idx - 1) & 1 and covered(chosen | suffix[idx]):
             return
         if idx == m:
-            # Alive clauses cannot reach a leaf: the branch filters drop them
-            # as satisfied or prune the branch as unrepairable.
-            if _is_cointerval(crow):
-                size = chosen.bit_count()
-                at = 0
-                while at < len(found) and found_sizes[at] >= size:
-                    at += 1
-                found.insert(at, chosen)
-                found_sizes.insert(at, size)
+            # No clause and no class conflict is left, so the chosen edges
+            # have no induced 2K2 and are transitively orientable: cointerval.
+            size = chosen.bit_count()
+            at = 0
+            while at < len(found) and found_sizes[at] >= size:
+                at += 1
+            found.insert(at, chosen)
+            found_sizes.insert(at, size)
             return
         bit = 1 << idx
         future = suffix[idx + 1]
+        a, b = internal[idx]
+        mark = len(log)
 
         new_chosen = chosen | bit
         ok = True
@@ -243,30 +275,53 @@ def _maximal_cointerval_masks(
                 break
             new_clauses.append(c)
         if ok:
+            pa, pb = pbit[a], pbit[b]
             partners = disj[idx] & chosen
             while partners:
                 low = partners & -partners
                 partners ^= low
-                j = low.bit_length() - 1
-                c = cross_req[(j, idx)]
+                x, y = internal[low.bit_length() - 1]
+                c = pa[x] | pa[y] | pb[x] | pb[y]
                 if c & new_chosen:
                     continue
                 if c & future == 0:
                     ok = False
                     break
                 new_clauses.append(c)
-        a, b = internal[idx]
-        if ok and c5_clauses(a, b, future, new_clauses):
+        if ok:
+            # Choosing ab relates it to each chosen ac with bc absent, and to
+            # each chosen bc with ac absent.
+            ra = crow[a] & absent[b]
+            rb = crow[b] & absent[a]
+            ok = (not ra or joins(a, idx, b, ra)) and (not rb or joins(b, idx, a, rb))
+        if ok:
             crow[a] |= 1 << b
             crow[b] |= 1 << a
             rec(idx + 1, new_chosen, new_clauses)
             crow[a] ^= 1 << b
             crow[b] ^= 1 << a
+        if len(log) > mark:
+            undo(mark)
 
         for c in clauses:
             if c & future == 0:
                 return  # losing this edge leaves an unrepairable constraint
-        rec(idx + 1, chosen, clauses)
+        # Deciding ab out relates ca and cb for each common chosen neighbour.
+        absent[a] |= 1 << b
+        absent[b] |= 1 << a
+        common = crow[a] & crow[b]
+        while common:
+            low = common & -common
+            common ^= low
+            c = low.bit_length() - 1
+            if not relate(pos[c][a], pos[c][b], (c > a) ^ (c > b)):
+                break
+        else:
+            rec(idx + 1, chosen, clauses)
+        absent[a] ^= 1 << b
+        absent[b] ^= 1 << a
+        if len(log) > mark:
+            undo(mark)
 
     rec(0, 0, [])
 

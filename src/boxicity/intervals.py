@@ -3,10 +3,8 @@
 The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
 Hoffman 1964), tested on neighbour bitmasks by forcing implication classes
-(Golumbic 1977). ``is_cointerval`` and the engine's cointervality test call
-only the decision, which orients first: at the engine's scan leaves the
-orientation rejects nearly every input and the 4-cycle test none. A rejection
-``reason`` still names the 4-cycle first.
+(Golumbic 1977), the 4-cycle test first. ``is_cointerval`` and the engine's
+certificate verifier call only the decision.
 
 Only an interval graph gets a witness, built after the decision: its maximal
 cliques in a linear order in which the cliques containing any fixed vertex
@@ -199,8 +197,8 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
 
 
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
-    """The decision alone, orientation first (see the module docstring)."""
-    return _complement_orientable(n, adj) and not _induced_c4(n, adj)
+    """The decision alone, without a witness."""
+    return _rejection(n, adj) is None
 
 
 def _component_clique_orders(g: Graph) -> list[list[int]]:

@@ -17,7 +17,7 @@ from boxicity.generators import (
 )
 from boxicity.graphs import Graph, complement, graph6_encode, induced_subgraph, join
 from boxicity import engine
-from boxicity.intervals import _is_interval_masks, is_interval
+from boxicity.intervals import is_interval
 from boxicity.engine import (
     BoxRep,
     CointervalCover,
@@ -118,30 +118,24 @@ class TestMaximalFamily:
                 assert sorted(fast) == brute_maximal_family(host)
 
     def test_five_cycle_never_reaches_a_leaf(self, monkeypatch):
-        # C5 is self-complementary and not chordal, so no cointerval part
-        # holds an induced 5-cycle; the scan must prune before such a leaf.
-        seen = []
+        # The scan calls no recognizer and accepts every leaf, so a leaf that
+        # is not cointerval would enter the family. C5 is self-complementary
+        # and not chordal; the complement of C6 has no induced pair of
+        # independent edges but is not transitively orientable.
+        def refuse(n, adj):
+            raise AssertionError("the scan called the recognizer")
 
-        def record(n, adj):
-            seen.append(adj)
-            return _is_interval_masks(n, adj)
-
-        monkeypatch.setattr(engine, "_is_interval_masks", record)
-        host = cycle_graph(5)
-        family = maximal_cointerval_family(host)
-        assert sorted(p.edges() for p in family) == brute_maximal_family(host)
-        assert seen
-        for adj in seen:
-            # Leaf inputs are complement rows: a host edge absent there is
-            # an edge of the part.
-            assert any(adj[u] >> v & 1 for u, v in host.edges())
+        monkeypatch.setattr(engine, "_is_interval_masks", refuse)
+        for host in (cycle_graph(5), complement(cycle_graph(6))):
+            family = maximal_cointerval_family(host)
+            assert sorted(p.edges() for p in family) == brute_maximal_family(host)
 
     def test_pinned_search_counters(self):
         # Deterministic counters are the regression signal of the scan.
         cases = [
-            (cycle_graph(8), 34620, 64),
-            (mycielski(path_graph(4), 2)[0], 35666, 46),
-            (mycielski(complete_graph(5), 2)[0], 5942, 20),
+            (cycle_graph(8), 25057, 64),
+            (mycielski(path_graph(4), 2)[0], 24681, 46),
+            (mycielski(complete_graph(5), 2)[0], 4169, 20),
         ]
         for g, nodes, family_size in cases:
             result = exact_boxicity(g)
@@ -157,6 +151,16 @@ class TestMaximalFamily:
             if not edges:
                 continue
             host = Graph.from_edges(n, edges)
+            fast = [p.edges() for p in maximal_cointerval_family(host)]
+            assert sorted(fast) == brute_maximal_family(host)
+
+    def test_matches_brute_oracle_seven_vertex_hosts(self):
+        # Past the exhaustive corpus above: parts that are not transitively
+        # orientable in more shapes than C5 and the complement of C6.
+        rng = random.Random(8)
+        pairs = list(itertools.combinations(range(7), 2))
+        for _ in range(20):
+            host = Graph.from_edges(7, rng.sample(pairs, rng.randint(6, 13)))
             fast = [p.edges() for p in maximal_cointerval_family(host)]
             assert sorted(fast) == brute_maximal_family(host)
 

@@ -249,7 +249,7 @@ class TestDecision:
             assert is_interval(g).interval == want
 
     def test_orientation_first_keeps_the_answer(self, graphs_by_n):
-        # The leaf decision orients first; the reason keeps the 4-cycle first.
+        # The boolean decision and the rejection reason never disagree.
         graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
         rng = random.Random(21)
         for _ in range(300):
