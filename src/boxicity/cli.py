@@ -5,7 +5,8 @@ survey. Everything is deterministic; there are no seed flags.
 
 Exit codes: 0 success (and certificate accepted), 1 certificate rejected,
 2 parse error, 3 capacity cap exceeded (the message names the cap),
-4 theorem or self-check failure (signals a bug, never expected).
+4 theorem or self-check failure (signals a bug, never expected),
+5 any other exception (an internal error, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def run(argv: list[str]) -> int:
     except SelfCheckError as exc:
         print(f"self-check failure (bug): {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

@@ -116,9 +116,19 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     return order if extend(0, 0, 0) else None
 
 
-def _induced_c4(n: int, adj: tuple[int, ...]) -> bool:
-    """Whether the graph on neighbour rows ``adj`` has an induced 4-cycle:
-    two non-adjacent vertices whose common neighbours are not a clique."""
+def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
+    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
+    is (Gilmore & Hoffman 1964).
+
+    First the induced 4-cycle test: two non-adjacent vertices whose common
+    neighbours are not a clique. Then the complement is oriented one
+    implication class at a time (Golumbic 1977): orienting edge ab as a->b
+    forces a->c for every complement neighbour c of a that is not a
+    complement neighbour of b, and c->b for every complement neighbour c of b
+    that is not one of a. The complement is transitively orientable iff no
+    class forces an edge both ways. Classes are disjoint, so ``out``/``into``
+    accumulate over all of them.
+    """
     full = (1 << n) - 1
     for u in range(n):
         far = full & ~adj[u] & ~((2 << u) - 1)
@@ -131,22 +141,8 @@ def _induced_c4(n: int, adj: tuple[int, ...]) -> bool:
                 low = rest & -rest
                 rest ^= low
                 if common & ~adj[low.bit_length() - 1] & ~low:
-                    return True
-    return False
-
-
-def _complement_orientable(n: int, adj: tuple[int, ...]) -> bool:
-    """Whether the complement of the graph on neighbour rows ``adj`` is
-    transitively orientable.
-
-    The complement is oriented one implication class at a time (Golumbic
-    1977): orienting edge ab as a->b forces a->c for every complement
-    neighbour c of a that is not a complement neighbour of b, and c->b for
-    every complement neighbour c of b that is not one of a. The complement is
-    transitively orientable iff no class forces an edge both ways. Classes
-    are disjoint, so ``out``/``into`` accumulate over all of them.
-    """
-    full = (1 << n) - 1
+                    return "induced 4-cycle"
+    unorientable = "complement not transitively orientable"
     co = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out = [0] * n  # out[a]: vertices b with a->b oriented
     into = [0] * n  # into[b]: vertices a with a->b oriented
@@ -162,7 +158,7 @@ def _complement_orientable(n: int, adj: tuple[int, ...]) -> bool:
                 forced = co[a] & ~co[b] & ~(1 << b) & ~out[a]
                 if forced:
                     if forced & into[a]:
-                        return False
+                        return unorientable
                     out[a] |= forced
                     while forced:
                         low = forced & -forced
@@ -173,7 +169,7 @@ def _complement_orientable(n: int, adj: tuple[int, ...]) -> bool:
                 forced = co[b] & ~co[a] & ~(1 << a) & ~into[b]
                 if forced:
                     if forced & out[b]:
-                        return False
+                        return unorientable
                     into[b] |= forced
                     while forced:
                         low = forced & -forced
@@ -182,17 +178,6 @@ def _complement_orientable(n: int, adj: tuple[int, ...]) -> bool:
                         out[c] |= 1 << b
                         stack.append((c, b))
             fresh = co[a0] & ~out[a0] & ~into[a0]
-    return True
-
-
-def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
-    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
-    is: an induced 4-cycle, tested first, or a complement that is not
-    transitively orientable (Gilmore & Hoffman 1964)."""
-    if _induced_c4(n, adj):
-        return "induced 4-cycle"
-    if not _complement_orientable(n, adj):
-        return "complement not transitively orientable"
     return None
 
 

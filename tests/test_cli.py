@@ -84,6 +84,16 @@ class TestBox:
         code, _, err = run_cli(["box", "!!"], capsys)
         assert code == 2
 
+    def test_unexpected_exception_exits_five(self, capsys, monkeypatch):
+        def fail(g, cap):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "exact_boxicity", fail)
+        code, out, err = run_cli(["box", "C]", "--stdout"], capsys)
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
 
 class TestBoundsCommand:
     def test_multipartite_example(self, capsys):

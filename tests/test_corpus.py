@@ -1,8 +1,10 @@
+import hashlib
 import random
 
+from boxicity import corpus
 from boxicity.corpus import are_isomorphic, connected_graphs
 from boxicity.generators import complete_graph, cycle_graph, path_graph, star_graph
-from boxicity.graphs import Graph, disjoint_union
+from boxicity.graphs import Graph, disjoint_union, graph6_encode
 
 
 def test_class_counts_match_known_values(graphs_by_n, connected_by_n):
@@ -10,8 +12,32 @@ def test_class_counts_match_known_values(graphs_by_n, connected_by_n):
     assert [len(connected_by_n[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
 
+def test_corpus_digest_pinned(graphs_by_n):
+    # Every representative, its labels and the corpus order: the survey CSV
+    # and the certificate digests are computed over this corpus.
+    text = "".join(
+        graph6_encode(g) + "\n" for n in range(1, 8) for g in graphs_by_n[n]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ae0c52541b1bcc8d36d4443ba759f8ca12c72c5a0aaff7a08294304a6dd47486"
+    )
+
+
+def test_one_invariant_per_candidate(monkeypatch):
+    calls = []
+    invariant = corpus._invariant
+    monkeypatch.setattr(corpus, "_cache", {})
+    monkeypatch.setattr(
+        corpus, "_invariant", lambda n, adj: calls.append(n) or invariant(n, adj)
+    )
+    corpus.all_graphs(6)
+    # Candidates on n vertices: each (n-1)-vertex class times 2**(n-1) new rows.
+    counts = [1, 2, 4, 11, 34]
+    assert len(calls) == sum(c << k for k, c in enumerate(counts, start=1))
+
+
 def test_corpus_members_pairwise_nonisomorphic(graphs_by_n):
-    graphs = graphs_by_n[5]
+    graphs = graphs_by_n[6]
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert not are_isomorphic(graphs[i], graphs[j])
@@ -30,6 +56,25 @@ def test_distinguishes_same_degree_sequences():
     hexagon = cycle_graph(6)
     two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
     assert not are_isomorphic(hexagon, two_triangles)
+    # 2-regular and triangle-free on both sides: the invariant triples tie.
+    nonagon = cycle_graph(9)
+    square_and_pentagon = disjoint_union(cycle_graph(4), cycle_graph(5))
+    assert not are_isomorphic(nonagon, square_and_pentagon)
+
+
+def test_distinguishes_cube_from_wagner_graph():
+    # Both are 3-regular and triangle-free, so every vertex has the same
+    # invariant triple and only the search tells them apart.
+    cube = Graph.from_edges(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                                if not u >> k & 1])
+    wagner = Graph.from_edges(
+        8, [(v, (v + 1) % 8) for v in range(8)] + [(v, v + 4) for v in range(4)]
+    )
+    assert not are_isomorphic(cube, wagner)
+    assert not are_isomorphic(wagner, cube)
+    perm = [3, 6, 0, 5, 7, 1, 4, 2]
+    relabeled = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in cube.edges()])
+    assert are_isomorphic(cube, relabeled)
 
 
 def test_distinguishes_trees():

@@ -248,18 +248,17 @@ class TestDecision:
             assert _is_interval_masks(g.n, g.adj) == want
             assert is_interval(g).interval == want
 
-    def test_orientation_first_keeps_the_answer(self, graphs_by_n):
-        # The boolean decision and the rejection reason never disagree.
-        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
-        rng = random.Random(21)
-        for _ in range(300):
-            n = rng.randint(8, 20)
-            p = rng.random()
-            graphs.append(Graph.from_edges(
-                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-            ))
-        for g in graphs:
-            assert _is_interval_masks(g.n, g.adj) == (_rejection(g.n, g.adj) is None)
+    def test_c4_reason_iff_brute_force_c4(self, graphs_by_n):
+        # The reason contract: "induced 4-cycle" exactly when some 4 vertices
+        # induce a 2-regular graph, which on 4 vertices is the 4-cycle.
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                has_c4 = any(
+                    all((g.adj[v] & sum(1 << u for u in quad)).bit_count() == 2
+                        for v in quad)
+                    for quad in itertools.combinations(range(n), 4)
+                )
+                assert (_rejection(g.n, g.adj) == "induced 4-cycle") == has_c4
 
     def test_balanced_spider_61(self):
         # Legs of 20: the three leg ends form an asteroidal triple. Deciding
