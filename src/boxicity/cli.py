@@ -4,7 +4,8 @@ Subcommands: gen, box, bounds, interval, construct-cover, verify-cover,
 survey. Everything is deterministic; there are no seed flags.
 
 Exit codes: 0 success (and certificate accepted), 1 certificate rejected,
-2 parse error, 3 capacity cap exceeded (the message names the cap),
+2 usage, parse or file error (a bad argument, a ``ValueError`` or an
+``OSError``), 3 capacity cap exceeded (the message names the cap),
 4 theorem or self-check failure (signals a bug, never expected),
 5 any other exception (an internal error, reported on one stderr line).
 """

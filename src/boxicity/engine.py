@@ -17,20 +17,23 @@ is cointerval iff it has no induced pair of independent edges (the
 complement of an induced 4-cycle) and is transitively orientable (Gilmore &
 Hoffman 1964).
 
-* a pair of chosen vertex-disjoint edges whose potential cross edges are all
-  decided out can never be repaired, and every completion then contains an
-  induced pair of independent edges. Such a pair leaves a clause, the
-  potential cross edges of which one must still be chosen, and the scan
-  prunes as soon as a clause has no undecided edge left;
+* a pair of chosen vertex-disjoint edges whose four cross pairs are all
+  absent (no host edge, or decided out) can never be repaired, and every
+  completion then contains an induced pair of independent edges. The scan
+  reads this off two per-vertex rows, the chosen neighbours and the absent
+  pairs, at the decision that makes the last cross pair absent: choosing ab
+  is pruned when a chosen edge has both ends among the vertices absent to a
+  and to b, and deciding ab out is pruned when chosen edges av and bw with
+  v != w have aw, vb and vw absent;
 * an implication class that holds an edge both ways. Two chosen edges va
-  and vb whose pair ab is absent (no host edge, or decided out) must both
-  leave v or both enter v in any transitive orientation (Golumbic's Gamma).
-  The scan adds each such relation when its last edge is chosen or its pair
-  decided out, to a parity union-find over the edges' orientations that is
-  undone on backtrack; relations only accumulate along a branch, so a
-  parity conflict holds in every completion and prunes it. At a leaf the
-  relations are the part's whole Gamma, and a graph is transitively
-  orientable iff no class conflicts (Golumbic 1977, Thm 5.1);
+  and vb whose pair ab is absent must both leave v or both enter v in any
+  transitive orientation (Golumbic's Gamma). The scan finds each such
+  relation on the same two rows when its last edge is chosen or its pair
+  decided out, and adds it to a parity union-find over the edges'
+  orientations that is undone on backtrack; relations only accumulate along
+  a branch, so a parity conflict holds in every completion and prunes it.
+  At a leaf the relations are the part's whole Gamma, and a graph is
+  transitively orientable iff no class conflicts (Golumbic 1977, Thm 5.1);
 * a branch whose remaining potential edge set is contained in an
   already-found maximal subset cannot contribute a new maximal subset. The
   test is skipped at an include child, whose remaining potential edge set is
@@ -154,31 +157,26 @@ def _maximal_cointerval_masks(
     """
     m = len(edges)
     # Most-conflicted edges first: deciding them early lets the prunes bite.
-    # Edge ab is disjoint from every edge except itself and those at a or b.
+    # Edge ab is disjoint from m + 1 - deg[a] - deg[b] edges, so the lowest
+    # endpoint degree sum goes first.
     deg = [0] * n
     for a, b in edges:
         deg[a] += 1
         deg[b] += 1
-    disjoint_count = [m + 1 - deg[a] - deg[b] for a, b in edges]
-    perm = sorted(range(m), key=lambda i: (-disjoint_count[i], edges[i]))
+    perm = sorted(
+        range(m), key=lambda i: (deg[edges[i][0]] + deg[edges[i][1]], edges[i])
+    )
     internal = [edges[i] for i in perm]
-    # pbit[u][v] and pos[u][v]: the scan bit and position of host edge uv
-    # (bit 0 for a non-edge); incident[v]: the scan bits of the edges at v.
-    pbit = [[0] * n for _ in range(n)]
+    # pos[u][v]: the scan position of host edge uv.
     pos = [[0] * n for _ in range(n)]
-    incident = [0] * n
     # absent[v]: vertices u != v whose pair uv is not a host edge or is
     # decided out on the current branch, so no completion holds it.
     absent = [((1 << n) - 1) ^ 1 << v for v in range(n)]
     for p, (a, b) in enumerate(internal):
-        pbit[a][b] = pbit[b][a] = 1 << p
         pos[a][b] = pos[b][a] = p
-        incident[a] |= 1 << p
-        incident[b] |= 1 << p
         absent[a] ^= 1 << b
         absent[b] ^= 1 << a
     suffix = [((1 << m) - 1) >> i << i for i in range(m)] + [0]
-    disj = [suffix[0] & ~incident[a] & ~incident[b] for a, b in internal]
 
     found: list[int] = []  # maximal masks, kept sorted by popcount descending
     found_sizes: list[int] = []
@@ -243,15 +241,16 @@ def _maximal_cointerval_masks(
                 return True
         return False
 
-    def rec(idx: int, chosen: int, clauses: list[int]) -> None:
+    def rec(idx: int, chosen: int) -> None:
         nonlocal nodes
         nodes += 1
         # An include child asks its parent's question, chosen | suffix[idx].
         if idx and not chosen >> (idx - 1) & 1 and covered(chosen | suffix[idx]):
             return
         if idx == m:
-            # No clause and no class conflict is left, so the chosen edges
-            # have no induced 2K2 and are transitively orientable: cointerval.
+            # Every two disjoint chosen edges have a chosen cross edge and no
+            # class conflicts, so the chosen edges have no induced 2K2 and are
+            # transitively orientable: cointerval.
             size = chosen.bit_count()
             at = 0
             while at < len(found) and found_sizes[at] >= size:
@@ -259,71 +258,60 @@ def _maximal_cointerval_masks(
             found.insert(at, chosen)
             found_sizes.insert(at, size)
             return
-        bit = 1 << idx
-        future = suffix[idx + 1]
         a, b = internal[idx]
         mark = len(log)
 
-        new_chosen = chosen | bit
-        ok = True
-        new_clauses = []
-        for c in clauses:
-            if c & new_chosen:
-                continue
-            if c & future == 0:
-                ok = False
+        # Choosing ab kills a chosen xy whose four cross pairs are all absent,
+        # that is, with both ends in far.
+        far = absent[a] & absent[b]
+        rest = far
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if crow[low.bit_length() - 1] & far:
                 break
-            new_clauses.append(c)
-        if ok:
-            pa, pb = pbit[a], pbit[b]
-            partners = disj[idx] & chosen
-            while partners:
-                low = partners & -partners
-                partners ^= low
-                x, y = internal[low.bit_length() - 1]
-                c = pa[x] | pa[y] | pb[x] | pb[y]
-                if c & new_chosen:
-                    continue
-                if c & future == 0:
-                    ok = False
-                    break
-                new_clauses.append(c)
-        if ok:
+        else:
             # Choosing ab relates it to each chosen ac with bc absent, and to
             # each chosen bc with ac absent.
             ra = crow[a] & absent[b]
             rb = crow[b] & absent[a]
-            ok = (not ra or joins(a, idx, b, ra)) and (not rb or joins(b, idx, a, rb))
-        if ok:
-            crow[a] |= 1 << b
-            crow[b] |= 1 << a
-            rec(idx + 1, new_chosen, new_clauses)
-            crow[a] ^= 1 << b
-            crow[b] ^= 1 << a
-        if len(log) > mark:
-            undo(mark)
+            if (not ra or joins(a, idx, b, ra)) and (not rb or joins(b, idx, a, rb)):
+                crow[a] |= 1 << b
+                crow[b] |= 1 << a
+                rec(idx + 1, chosen | 1 << idx)
+                crow[a] ^= 1 << b
+                crow[b] ^= 1 << a
+            if len(log) > mark:
+                undo(mark)
 
-        for c in clauses:
-            if c & future == 0:
-                return  # losing this edge leaves an unrepairable constraint
-        # Deciding ab out relates ca and cb for each common chosen neighbour.
         absent[a] |= 1 << b
         absent[b] |= 1 << a
-        common = crow[a] & crow[b]
-        while common:
-            low = common & -common
-            common ^= low
-            c = low.bit_length() - 1
-            if not relate(pos[c][a], pos[c][b], (c > a) ^ (c > b)):
+        # Deciding ab out kills chosen av and bw, v != w, whose other cross
+        # pairs aw, vb and vw are already absent.
+        ends = crow[b] & absent[a]
+        rest = crow[a] & absent[b] if ends else 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if absent[low.bit_length() - 1] & ends:
                 break
         else:
-            rec(idx + 1, chosen, clauses)
+            # Deciding ab out relates ca and cb for each common chosen neighbour.
+            common = crow[a] & crow[b]
+            while common:
+                low = common & -common
+                common ^= low
+                c = low.bit_length() - 1
+                if not relate(pos[c][a], pos[c][b], (c > a) ^ (c > b)):
+                    break
+            else:
+                rec(idx + 1, chosen)
+            if len(log) > mark:
+                undo(mark)
         absent[a] ^= 1 << b
         absent[b] ^= 1 << a
-        if len(log) > mark:
-            undo(mark)
 
-    rec(0, 0, [])
+    rec(0, 0)
 
     out = []
     for mask in found:
@@ -345,7 +333,7 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
         return [0], 0
     family, nodes = _maximal_cointerval_masks(host.n, edges)
     # Masks index the lexicographic edge list, so this orders by edge list.
-    family.sort(key=lambda mask: [edges[p] for p in _bit_list(mask)])
+    family.sort(key=_bit_list)
     return family, nodes
 
 

@@ -141,6 +141,20 @@ class TestMaximalFamily:
             result = exact_boxicity(g)
             assert (result.nodes_explored, result.family_size) == (nodes, family_size)
 
+    def test_scan_digest_pinned(self, graphs_by_n):
+        # The raw scan output, masks in the order found plus the node count,
+        # on the complement of every graph with up to 7 vertices: a change to
+        # a prune rule or to the edge order shows here first.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                host = complement(g)
+                family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
+                digest.update(f"{family} {nodes}\n".encode())
+        assert digest.hexdigest() == (
+            "4a130693af32f1b3ce0923f0ba848b2a94926d7c16dd3b52dff781bd3bbdd764"
+        )
+
     def test_matches_brute_oracle_random_hosts(self):
         rng = random.Random(5)
         for _ in range(10):
