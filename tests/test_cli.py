@@ -224,9 +224,9 @@ class TestSurvey:
         )
 
     def test_each_invariant_computed_once_per_row(self, connected_by_n, monkeypatch):
-        """Invariants are counted across modules. Mycielski builds are
-        counted per module: the row and the cover construction each build the
-        graph once, since the construction takes only the base graph."""
+        """Invariants and Mycielski builds are counted across modules: the
+        row builds the Mycielski graph once and hands it to the cover
+        construction."""
         calls = Counter()
 
         def counting(key, fn):
@@ -240,8 +240,7 @@ class TestSurvey:
         for module in (cli, bounds, constructions):
             for name in names:
                 if hasattr(module, name):
-                    key = f"{module.__name__}.{name}" if name == "mycielski" else name
-                    monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         for n in range(1, 6):
             for g in connected_by_n[n]:
                 calls.clear()

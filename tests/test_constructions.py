@@ -123,6 +123,18 @@ class TestMycielskiCover:
                 myc, _ = mycielski(g, 2)
                 assert verify_cointerval_cover(myc, built).ok
 
+    def test_certificates_digest_on_corpus(self, graphs_by_n):
+        # Pins the certificate text of the cover built from the minimum clique
+        # cover of the complement, for every graph with up to 7 vertices.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                _, cover = edge_clique_cover(complement(g))
+                digest.update(format_cover(mycielski_cover(g, cover)).encode())
+        assert digest.hexdigest() == (
+            "bd92d0f4fcd512d8d76a5308f0b9ed1f1679ee3ad591857c28ea5786657c2d64"
+        )
+
     def test_rejects_bad_clique_cover(self):
         g = cycle_graph(4)
         comp = complement(g)

@@ -17,7 +17,7 @@ from boxicity.generators import (
 )
 from boxicity.graphs import Graph, complement, graph6_encode, induced_subgraph, join
 from boxicity import engine
-from boxicity.intervals import is_interval
+from boxicity.intervals import _is_interval_masks, is_cointerval
 from boxicity.engine import (
     BoxRep,
     CointervalCover,
@@ -37,30 +37,37 @@ from test_graphs import d_graph
 
 
 def brute_cointerval_subsets(host):
-    """Oracle: every edge subset tested through the public recognizer on the
-    full spanning complement, no support reduction, no pruning."""
+    """Oracle: every edge subset decided by the public cointerval test on the
+    full spanning subgraph, at host width, no support reduction, no pruning."""
     edges = host.edges()
-    full = (1 << host.n) - 1
-    out = []
-    for mask in range(1 << len(edges)):
-        rows = [0] * host.n
-        for p in range(len(edges)):
-            if mask >> p & 1:
-                u, v = edges[p]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        comp = Graph(host.n, tuple(full & ~rows[v] & ~(1 << v) for v in range(host.n)))
-        if is_interval(comp).interval:
-            out.append(mask)
-    return out
+    m = len(edges)
+    return [
+        mask
+        for mask in range(1 << m)
+        if is_cointerval(
+            Graph.from_edges(host.n, (edges[p] for p in range(m) if mask >> p & 1))
+        )
+    ]
 
 
 def brute_maximal_family(host):
-    subsets = brute_cointerval_subsets(host)
-    maximal = [s for s in subsets if not any(s != t and s & ~t == 0 for t in subsets)]
     edges = host.edges()
+    m = len(edges)
+    subsets = brute_cointerval_subsets(host)
+    # above[s]: some cointerval subset contains s, by one superset-sum pass.
+    above = [False] * (1 << m)
+    for s in subsets:
+        above[s] = True
+    for p in range(m):
+        bit = 1 << p
+        for s in range(1 << m):
+            if not s & bit and above[s | bit]:
+                above[s] = True
+    maximal = [
+        s for s in subsets if not any(above[s | 1 << p] for p in range(m) if not s >> p & 1)
+    ]
     return sorted(
-        sorted(edges[p] for p in range(len(edges)) if s >> p & 1) for s in maximal
+        sorted(edges[p] for p in range(m) if s >> p & 1) for s in maximal
     )
 
 
@@ -177,6 +184,27 @@ class TestMaximalFamily:
             host = Graph.from_edges(7, rng.sample(pairs, rng.randint(6, 13)))
             fast = [p.edges() for p in maximal_cointerval_family(host)]
             assert sorted(fast) == brute_maximal_family(host)
+
+    def test_support_decision_matches_host_width(self, graphs_by_n):
+        # The verifier decides a part on its support; the full-width decision
+        # on the part's complement rows must agree on every family member.
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                host = complement(g)
+                edges = host.edges()
+                family, _ = engine._maximal_cointerval_family_masks(
+                    host, engine.DEFAULT_COMPLEMENT_EDGE_CAP
+                )
+                full = (1 << n) - 1
+                for mask in family:
+                    rows = [0] * n
+                    for p in range(len(edges)):
+                        if mask >> p & 1:
+                            u, v = edges[p]
+                            rows[u] |= 1 << v
+                            rows[v] |= 1 << u
+                    co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
+                    assert engine._is_cointerval(rows) == _is_interval_masks(n, co)
 
     def test_capacity_names_cap(self):
         with pytest.raises(CapacityError, match="max-complement-edges"):

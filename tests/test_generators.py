@@ -102,6 +102,26 @@ class TestMycielski:
         with pytest.raises(ValueError):
             mycielski(path_graph(3), 1)
 
+    def test_matches_edge_list_reference(self, graphs_by_n):
+        # Reference from the definition: base edges in copy 1, u_{i-1}v_i and
+        # v_{i-1}u_i for each base edge uv, the apex joined to copy r.
+        def reference(g, r):
+            n = g.n
+            edges = list(g.edges())
+            for i in range(2, r + 1):
+                for u, v in g.edges():
+                    edges += [((i - 2) * n + u, (i - 1) * n + v)]
+                    edges += [((i - 2) * n + v, (i - 1) * n + u)]
+            edges += [(r * n, (r - 1) * n + v) for v in range(n)]
+            return Graph.from_edges(r * n + 1, edges)
+
+        bases = [complete_graph(1)] + [g for n in range(1, 7) for g in graphs_by_n[n]]
+        for g in bases:
+            for r in (2, 3, 4):
+                myc, layout = mycielski(g, r)
+                assert myc == reference(g, r)
+                assert (layout.base_n, layout.r) == (g.n, r)
+
 
 class TestFocalize:
     def test_edgeless_becomes_star(self):

@@ -1,5 +1,7 @@
-"""Property tests: the subset scan against the brute-force family, and the
-graph6 and certificate text formats against their parsers."""
+"""Property tests: the subset scan against the brute-force family, the
+graph6 and certificate text formats against their parsers, the graph
+symmetry check against single-bit flips, and the support-reduced cointerval
+decision against the full-width one."""
 
 import itertools
 
@@ -9,12 +11,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from boxicity.engine import (
+    _is_cointerval,
     exact_boxicity,
     format_cover,
     maximal_cointerval_family,
     parse_cover,
 )
 from boxicity.graphs import Graph, graph6_decode, graph6_encode
+from boxicity.intervals import _is_interval_masks
 
 from test_engine import brute_maximal_family
 
@@ -56,3 +60,57 @@ def test_graph6_round_trip(g):
 def test_certificate_text_round_trip(g):
     cover = exact_boxicity(g).certificate
     assert parse_cover(format_cover(cover)) == cover
+
+
+@st.composite
+def symmetric_rows(draw, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rows = [0] * n
+    for p, (u, v) in enumerate(pairs):
+        if bits >> p & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+@settings(FIXED, max_examples=8)
+@given(data=st.data())
+def test_graph_symmetry_check(n, data):
+    rows = data.draw(symmetric_rows(n))
+    assert Graph(n, tuple(rows)).adj == tuple(rows)
+    if n == 1:
+        return
+    u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rows[u] ^= 1 << v
+    with pytest.raises(ValueError, match="asymmetric adjacency") as info:
+        Graph(n, tuple(rows))
+    a, b = (int(w) for w in str(info.value).split()[-3::2])
+    assert a < b
+    assert rows[a] >> b & 1 != rows[b] >> a & 1
+
+
+@st.composite
+def rows_with_isolated_vertices(draw, max_n):
+    """Neighbour rows of a graph placed on some of ``n`` vertices; the rest
+    are isolated."""
+    n = draw(st.integers(1, max_n))
+    placed = draw(st.permutations(range(n)))[draw(st.integers(0, n)):]
+    pairs = list(itertools.combinations(sorted(placed), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [0] * n
+    for (u, v), bit in zip(pairs, bits):
+        if bit:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+@settings(FIXED, max_examples=300)
+@given(rows_with_isolated_vertices(max_n=24))
+def test_support_decision_matches_host_width(rows):
+    n = len(rows)
+    full = (1 << n) - 1
+    co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
+    assert _is_cointerval(rows) == _is_interval_masks(n, co)
