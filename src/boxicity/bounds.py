@@ -108,24 +108,20 @@ def chromatic_number(g: Graph) -> int:
     order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
 
     def colorable(k: int) -> bool:
-        colors = [-1] * g.n
+        classes = [0] * k  # classes[c]: vertex mask of colour c
 
         def assign(i: int, used: int) -> bool:
             if i == g.n:
                 return True
             v = order[i]
-            forbidden = 0
             row = g.adj[v]
-            for u in range(g.n):
-                if row >> u & 1 and colors[u] >= 0:
-                    forbidden |= 1 << colors[u]
             for c in range(min(used + 1, k)):
-                if forbidden >> c & 1:
+                if classes[c] & row:
                     continue
-                colors[v] = c
+                classes[c] |= 1 << v
                 if assign(i + 1, max(used, c + 1)):
                     return True
-                colors[v] = -1
+                classes[c] ^= 1 << v
             return False
 
         return assign(0, 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .bounds import (
     _focal_count,
@@ -25,7 +25,7 @@ from .bounds import (
     edge_clique_cover,
     thm42_upper,
 )
-from .constructions import complete_mycielski_cover, mycielski_cover
+from .constructions import _mycielski_cover, complete_mycielski_cover, mycielski_cover
 from .engine import (
     DEFAULT_COMPLEMENT_EDGE_CAP,
     exact_boxicity,
@@ -136,13 +136,15 @@ class SurveyRow:
     chk_chi_plus1: bool
 
     def to_csv(self) -> str:
+        # vars() lists the fields in declaration order, without the deep copy
+        # that dataclasses.astuple makes.
         return ",".join(
             ("pass" if v else "fail") if isinstance(v, bool) else str(v)
-            for v in astuple(self)
+            for v in vars(self).values()
         )
 
     def all_pass(self) -> bool:
-        return all(v for v in astuple(self) if isinstance(v, bool))
+        return self.chk_cor36 and self.chk_thm42 and self.chk_thm11 and self.chk_chi_plus1
 
 
 def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyRow:
@@ -161,8 +163,9 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     lb = cor36_lower(box, focal)
     ub = thm42_upper(theta, focal)
     myc, _ = mycielski(g, r)
+    m2 = myc if r == 2 else mycielski(g, 2)[0]
 
-    if complement(myc).num_edges() <= SURVEY_DIRECT_EDGE_LIMIT:
+    if myc.n * (myc.n - 1) // 2 - myc.num_edges() <= SURVEY_DIRECT_EDGE_LIMIT:
         myc_box = exact_boxicity(myc, cap).value
         ok_cor36 = lb <= myc_box and (focal == 0 or myc_box > box)
     elif r == 2:
@@ -171,11 +174,10 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
         ok_cor36 = lb <= myc.n // 2
 
     try:
-        ok_thm42 = len(mycielski_cover(g, clique_cover).parts) <= ub
+        ok_thm42 = len(_mycielski_cover(g, clique_cover, m2).parts) <= ub
     except SelfCheckError:
         ok_thm42 = False
 
-    m2 = myc if r == 2 else mycielski(g, 2)[0]
     ok_chi = chromatic_number(m2) == chi + 1
 
     return SurveyRow(

@@ -14,63 +14,20 @@ from typing import Iterable
 from .errors import SelfCheckError
 from .bounds import CliqueCover, verify_clique_cover
 from .engine import CointervalCover, verify_cointerval_cover
-from .generators import MycielskiLayout, complete_graph, mycielski
+from .generators import complete_graph, mycielski
 from .graphs import Graph, _vertex_set_mask, complement, focal_vertices
+from .intervals import _bit_list
 
 
-def _induced_part(
-    host: Graph, verts: Iterable[int], cut: dict[int, int] | None = None
-) -> Graph:
-    """The host's spanning subgraph on its edges with both ends in ``verts``,
-    less ``cut[v]`` from the row of each vertex v (``cut`` must be symmetric)."""
-    keep = _vertex_set_mask(host, verts)
-    cut = cut or {}
-    rows = tuple(
-        host.adj[v] & keep & ~cut.get(v, 0) if keep >> v & 1 else 0
-        for v in range(host.n)
-    )
-    return Graph(host.n, rows)
-
-
-def _apex_cover_part(
-    host: Graph, layout: MycielskiLayout, base_vertices: list[int]
-) -> Graph:
-    """The one part containing the apex: induced on the apex, the second copy
-    of the last listed base vertex, and the first copies of all of them."""
-    verts = {layout.apex, layout.copy(2, base_vertices[-1])}
-    verts |= {layout.copy(1, v) for v in base_vertices}
-    return _induced_part(host, verts)
-
-
-def _pair_cover_part(
-    host: Graph,
-    layout: MycielskiLayout,
-    first_pair: tuple[int, int],
-    second_copy_of: list[int],
-) -> Graph:
-    """A part induced on two first-copy vertices plus a block of second
-    copies."""
-    verts = {layout.copy(1, first_pair[0]), layout.copy(1, first_pair[1])}
-    verts |= {layout.copy(2, v) for v in second_copy_of}
-    return _induced_part(host, verts)
-
-
-def _matching_pair_parts(
-    host: Graph,
-    layout: MycielskiLayout,
-    base_vertices: list[int],
-) -> list[Graph]:
-    """The pair parts over consecutive base vertices (1st & 2nd, 3rd & 4th,
-    ...), plus a wrap-around part over the last two when the count is even."""
-    l = len(base_vertices)
-    parts = []
-    for i in range(1, (l + 1) // 2):
-        pair = (base_vertices[2 * i - 2], base_vertices[2 * i - 1])
-        parts.append(_pair_cover_part(host, layout, pair, base_vertices))
-    if l >= 2 and l % 2 == 0:
-        pair = (base_vertices[l - 2], base_vertices[l - 1])
-        parts.append(_pair_cover_part(host, layout, pair, base_vertices))
-    return parts
+def _part(host: Graph, blocks: Iterable[tuple[int, int]]) -> Graph:
+    """The host's spanning subgraph in which each vertex of a block's vertex
+    mask keeps the host neighbours in that block's row mask, and every other
+    vertex is isolated. The masks must keep the rows symmetric."""
+    rows = [0] * host.n
+    for verts, keep in blocks:
+        for v in _bit_list(verts):
+            rows[v] = host.adj[v] & keep
+    return Graph(host.n, tuple(rows))
 
 
 def complete_mycielski_cover(n: int) -> CointervalCover:
@@ -98,36 +55,59 @@ def mycielski_cover(g: Graph, cover: CliqueCover) -> CointervalCover:
     order. The part count is at most the cover size plus half the focal count
     rounded up, plus one more only when the focal count is even and positive.
     """
+    return _mycielski_cover(g, cover, mycielski(g, 2)[0])
+
+
+def _mycielski_cover(g: Graph, cover: CliqueCover, myc: Graph) -> CointervalCover:
+    """``mycielski_cover`` with the Mycielski graph ``myc`` of g (two copies)
+    already built by the caller.
+
+    Parts are built from vertex masks: copy 1 of a base vertex set is its
+    mask, copy 2 that mask shifted by n, and the apex is bit 2n.
+    """
     verdict = verify_clique_cover(complement(g), cover)
     if not verdict:
         raise ValueError(f"clique cover does not verify: {verdict.reason}")
-    focal = sorted(focal_vertices(g))
-    everyone = set(range(g.n))
-    if set(focal).union(*cover.cliques) != everyone:
+    n = g.n
+    everyone = (1 << n) - 1
+    focal = _vertex_set_mask(g, focal_vertices(g))
+    cliques = [_vertex_set_mask(g, clique) for clique in cover.cliques]
+    spanned = focal
+    for clique in cliques:
+        spanned |= clique
+    if spanned != everyone:
         raise SelfCheckError(
             "cover cliques plus focal vertices do not exhaust the vertex set"
         )
-    myc, layout = mycielski(g, 2)
     host = complement(myc)
+    second = everyone << n
+    apex = 1 << 2 * n
 
     parts = []
-    for clique in cover.cliques:
-        inside = set(clique)
-        outside = everyone - inside
-        verts = {layout.copy(1, v) for v in inside}
-        verts |= {layout.copy(2, v) for v in everyone}
-        verts.add(layout.apex)
-        # Cut the second-copy pairs outside the clique and the pairs joining a
-        # first copy inside it to a second copy outside it.
-        first_in = _vertex_set_mask(host, (layout.copy(1, x) for x in inside))
-        second_out = _vertex_set_mask(host, (layout.copy(2, y) for y in outside))
-        cut = {layout.copy(1, x): second_out for x in inside}
-        cut |= {layout.copy(2, y): second_out | first_in for y in outside}
-        parts.append(_induced_part(host, verts, cut))
+    for clique in cliques:
+        # The clique's first copies, all second copies and the apex, less the
+        # second-copy pairs outside the clique and the pairs joining a first
+        # copy inside it to a second copy outside it.
+        inside = clique << n
+        keep = clique | second | apex
+        blocks = [
+            (clique, clique | inside | apex),
+            (inside | apex, keep),
+            (second & ~inside, inside | apex),
+        ]
+        parts.append(_part(host, blocks))
 
     if focal:
-        parts.append(_apex_cover_part(host, layout, focal))
-        parts += _matching_pair_parts(host, layout, focal)
+        # The apex part: the apex, the second copy of the last focal vertex
+        # and the first copies of all of them. Then one part per consecutive
+        # pair of focal vertices (1st & 2nd, 3rd & 4th, ...) on their first
+        # copies plus the second copies of all focal vertices.
+        order = _bit_list(focal)
+        keep = apex | 1 << (n + order[-1]) | focal
+        parts.append(_part(host, [(keep, keep)]))
+        for a, b in zip(order[::2], order[1::2]):
+            keep = 1 << a | 1 << b | focal << n
+            parts.append(_part(host, [(keep, keep)]))
 
     built = CointervalCover(host, tuple(parts))
     verdict = verify_cointerval_cover(myc, built)

@@ -53,11 +53,15 @@ cover in that order.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
-``_is_cointerval`` on the part's neighbour rows at host width, the full
-interval decision on their complement, since a certificate may come from
-outside the scan. Verification checks containment in the host and coverage
-on neighbour masks, box building reads each part's complement directly, and
-parts become edge text only in ``format_cover``.
+``_is_cointerval`` on the part's support, the full interval decision on the
+complement of the part induced on its non-isolated vertices, since a
+certificate may come from outside the scan. That is exact: an isolated vertex
+of a part is universal in the part's complement, and a universal vertex never
+changes intervality (it gets an interval spanning all others, and an induced
+subgraph of an interval graph is interval). Verification checks containment
+in the host and coverage on neighbour masks, box building lays out each
+part's complement without deciding it again, and parts become edge text only
+in ``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -78,7 +82,7 @@ from .graphs import (
     induced_subgraph,
     subgraph_distance,
 )
-from .intervals import _bit_list, _is_interval_masks, interval_representation
+from .intervals import _bit_list, _interval_layout, _is_interval_masks
 
 #: Default cap on complement edge count for the exact engine
 #: (CLI flag ``--max-complement-edges``).
@@ -132,19 +136,38 @@ class BoxicityResult:
 
 
 def _is_cointerval(rows: Sequence[int]) -> bool:
-    """Cointervality of the graph on neighbour rows ``rows``.
+    """Cointervality of the graph on neighbour rows ``rows``, decided on its
+    support, the vertices with a neighbour.
 
-    Isolated vertices are universal in the complement and never affect
-    intervality, so a part with at most three non-isolated vertices is
-    cointerval without a test.
+    An isolated vertex is universal in the complement, and adding or removing
+    a universal vertex never changes intervality, so the decision runs on the
+    complement of the part induced on its support, relabelled ``0..k-1``. Any
+    graph on at most three vertices is cointerval without a test.
     """
-    if len(rows) - rows.count(0) <= 3:
+    support = 0
+    for row in rows:
+        support |= row
+    k = support.bit_count()
+    if k <= 3:
         return True
-    n = len(rows)
-    full = (1 << n) - 1
-    return _is_interval_masks(
-        n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
-    )
+    # Each run of consecutive support vertices moves down by the number of
+    # non-support vertices below it.
+    runs = []
+    rest = support
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((run, low.bit_length() - 1 - (support & (low - 1)).bit_count()))
+        rest ^= run
+    full = (1 << k) - 1
+    co = []
+    for v in _bit_list(support):
+        row = rows[v]
+        packed = 0
+        for run, shift in runs:
+            packed |= (row & run) >> shift
+        co.append(full & ~packed & ~(1 << len(co)))
+    return _is_interval_masks(k, tuple(co))
 
 
 def _maximal_cointerval_masks(
@@ -492,9 +515,13 @@ def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
 
 
 def _cover_to_box_rep(g: Graph, cover: CointervalCover) -> BoxRep:
+    """Boxes from a cover whose parts are cointerval: the scan builds only
+    cointerval parts, and callers verify any other cover first. Each part is
+    laid out without deciding it again; ``_self_check`` decides every part
+    once and checks every vertex pair of the boxes."""
     if not cover.parts:
         return BoxRep(1, tuple(((0, 0),) for _ in range(g.n)))
-    dims = [interval_representation(complement(part)).intervals for part in cover.parts]
+    dims = [_interval_layout(complement(part)).intervals for part in cover.parts]
     boxes = tuple(tuple(dim[v] for dim in dims) for v in range(g.n))
     return BoxRep(len(cover.parts), boxes)
 

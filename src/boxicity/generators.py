@@ -101,21 +101,21 @@ def mycielski(g: Graph, r: int = 2) -> tuple[Graph, MycielskiLayout]:
     Edges: the base edges within copy 1, the cross edges u_{i-1}v_i / v_{i-1}u_i
     between consecutive copies for every base edge uv, and apex edges to every
     vertex of copy r. Yields r*n + 1 vertices and (2r-1)*m + n edges.
+
+    Built from g's rows: copy i of v gets v's row shifted into copies i-1 and
+    i+1 (copy 1 into itself and copy 2), and copy r also gets the apex.
     """
     if r < 2:
         raise ValueError(f"mycielski needs r >= 2, got {r}")
     layout = MycielskiLayout(g.n, r)
-    edges = []
-    base_edges = g.edges()
-    for u, v in base_edges:
-        edges.append((layout.copy(1, u), layout.copy(1, v)))
-    for i in range(2, r + 1):
-        for u, v in base_edges:
-            edges.append((layout.copy(i - 1, u), layout.copy(i, v)))
-            edges.append((layout.copy(i - 1, v), layout.copy(i, u)))
-    for v in range(g.n):
-        edges.append((layout.apex, layout.copy(r, v)))
-    return Graph.from_edges(layout.total, edges), layout
+    n = g.n
+    rows = [row | row << n for row in g.adj]
+    for i in range(2, r):
+        rows += [row << (i - 2) * n | row << i * n for row in g.adj]
+    apex = 1 << layout.apex
+    rows += [row << (r - 2) * n | apex for row in g.adj]
+    rows.append(((1 << n) - 1) << (r - 1) * n)
+    return Graph(layout.total, tuple(rows)), layout
 
 
 def focalize(g: Graph, times: int = 1) -> Graph:

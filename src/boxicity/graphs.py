@@ -8,6 +8,7 @@ instances are hashable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -29,7 +30,9 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adj[v]`` is the neighbor bitmask of ``v``. The relation is symmetric and
-    irreflexive by construction; both are validated on creation.
+    irreflexive by construction; both are validated on creation. Symmetry is
+    checked on the rows packed into one integer, a bit matrix with rows padded
+    to a power-of-two width, which must equal its transpose.
     """
 
     n: int
@@ -44,16 +47,34 @@ class Graph:
             )
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
+        if min(self.adj) < 0 or max(self.adj) >> self.n:
+            self._raise_row_error()
+        width = 1 << (self.n - 1).bit_length()
+        diagonal, steps = _bit_matrix(width)
+        packed = 0
+        for row in reversed(self.adj):
+            packed = packed << width | row
+        if packed & diagonal:
+            self._raise_row_error()
+        flipped = packed
+        for shift, mask in steps:
+            t = (flipped ^ flipped >> shift) & mask
+            flipped ^= t ^ t << shift
+        if flipped != packed:
+            diff = flipped ^ packed
+            for v in range(self.n):
+                below = diff >> (v * width) & ((1 << v) - 1)
+                if below:
+                    u = (below & -below).bit_length() - 1
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    def _raise_row_error(self) -> None:
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in range(v):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -93,6 +114,26 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+
+@functools.cache
+def _bit_matrix(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Masks for a square bit matrix packed into one integer, entry (r, c) at
+    bit r * width + c, for a power-of-two width: the diagonal, and the delta
+    swaps (shift, mask) that transpose the matrix.
+
+    The swap at step j exchanges entries (r, c + j) and (r + j, c) for every r
+    and c with bit j clear, which swaps bit j of the row and column indices;
+    the steps for j = width/2, ..., 2, 1 together swap the two indices."""
+    diagonal = sum(1 << (v * width + v) for v in range(width))
+    steps = []
+    j = width >> 1
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        mask = sum(cols << (r * width) for r in range(width) if not r & j)
+        steps.append((j * (width - 1), mask))
+        j >>= 1
+    return diagonal, tuple(steps)
 
 
 def _vertex_set_mask(g: Graph, s: Iterable[int]) -> int:

@@ -263,6 +263,12 @@ def interval_representation(g: Graph) -> IntervalRep:
     """
     if not _is_interval_masks(g.n, g.adj):
         raise NotIntervalError("graph is not interval, no representation exists")
+    return _interval_layout(g)
+
+
+def _interval_layout(g: Graph) -> IntervalRep:
+    """``interval_representation`` of a graph already decided interval: the
+    layout alone, without the decision."""
     ordered = _component_clique_orders(g)
     lo = [-1] * g.n
     hi = [-1] * g.n
