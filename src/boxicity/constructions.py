@@ -88,12 +88,12 @@ def _mycielski_cover(g: Graph, cover: CliqueCover, myc: Graph) -> CointervalCove
         # The clique's first copies, all second copies and the apex, less the
         # second-copy pairs outside the clique and the pairs joining a first
         # copy inside it to a second copy outside it.
-        inside = clique << n
+        second_in = clique << n
         keep = clique | second | apex
         blocks = [
-            (clique, clique | inside | apex),
-            (inside | apex, keep),
-            (second & ~inside, inside | apex),
+            (clique, clique | second_in | apex),
+            (second_in | apex, keep),
+            (second & ~second_in, second_in | apex),
         ]
         parts.append(_part(host, blocks))
 
