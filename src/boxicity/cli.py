@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .bounds import (
     _focal_count,
@@ -119,8 +120,15 @@ def _cmd_verify_cover(args: argparse.Namespace) -> int:
     return 1
 
 
-@dataclass
+#: A row's fields in CSV column order, read directly: the header names them.
+_ROW_FIELDS = attrgetter(*SURVEY_HEADER.split(","))
+
+
+@dataclass(slots=True)
 class SurveyRow:
+    """One survey CSV row. Slotted: a row holds its fields in the object,
+    with no per-instance dict."""
+
     graph6: str
     n: int
     m: int
@@ -136,11 +144,9 @@ class SurveyRow:
     chk_chi_plus1: bool
 
     def to_csv(self) -> str:
-        # vars() lists the fields in declaration order, without the deep copy
-        # that dataclasses.astuple makes.
         return ",".join(
             ("pass" if v else "fail") if isinstance(v, bool) else str(v)
-            for v in vars(self).values()
+            for v in _ROW_FIELDS(self)
         )
 
     def all_pass(self) -> bool:
