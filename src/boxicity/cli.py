@@ -156,7 +156,8 @@ class SurveyRow:
 def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyRow:
     """One survey row: exact invariants of g plus empirical verification of
     the Mycielski bounds, the boxicity-chromatic inequality and the chromatic
-    step. Each invariant of g is computed once and shared by the checks.
+    step. Each invariant of g is computed once and shared by the checks, and
+    the Mycielski graph is built once and handed to the cover construction.
 
     The Mycielski lower bound is checked directly against an exact engine run
     when the Mycielski complement is small enough, and against the upper
