@@ -220,6 +220,27 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, so a bad value
+    is refused before any command runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+#: ``--max-complement-edges``: a cap on a count, so never negative.
+_CAP = _int_at_least(0)
+
+#: ``--r`` and ``--mycielski-r``: the Mycielski construction needs two copies.
+_COPIES = _int_at_least(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxicity",
@@ -240,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("box", help="exact boxicity with certificate")
     p.add_argument("graph6")
     p.add_argument(
-        "--max-complement-edges", type=int, default=DEFAULT_COMPLEMENT_EDGE_CAP
+        "--max-complement-edges", type=_CAP, default=DEFAULT_COMPLEMENT_EDGE_CAP
     )
     p.add_argument("--out", default="cointerval-cover.cert", help="certificate path")
     p.add_argument(
@@ -252,12 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="bounds on the boxicity of the Mycielski graph of the input"
     )
     p.add_argument("graph6")
-    p.add_argument("--r", type=int, default=2, help="Mycielski copy count")
+    p.add_argument("--r", type=_COPIES, default=2, help="Mycielski copy count")
     p.add_argument(
         "--exact", action="store_true", help="also run the exact engine on it"
     )
     p.add_argument(
-        "--max-complement-edges", type=int, default=DEFAULT_COMPLEMENT_EDGE_CAP
+        "--max-complement-edges", type=_CAP, default=DEFAULT_COMPLEMENT_EDGE_CAP
     )
     p.set_defaults(func=_cmd_bounds)
 
@@ -284,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="per-graph CSV with theorem checks")
     p.add_argument("graphs", help="file with one graph6 string per line")
-    p.add_argument("--mycielski-r", type=int, default=2)
+    p.add_argument("--mycielski-r", type=_COPIES, default=2)
     p.add_argument(
-        "--max-complement-edges", type=int, default=DEFAULT_COMPLEMENT_EDGE_CAP
+        "--max-complement-edges", type=_CAP, default=DEFAULT_COMPLEMENT_EDGE_CAP
     )
     p.set_defaults(func=_cmd_survey)
 

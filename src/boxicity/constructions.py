@@ -15,8 +15,7 @@ from .errors import SelfCheckError
 from .bounds import CliqueCover, verify_clique_cover
 from .engine import CointervalCover, verify_cointerval_cover
 from .generators import complete_graph, mycielski
-from .graphs import Graph, _vertex_set_mask, complement, focal_vertices
-from .intervals import _bit_list
+from .graphs import Graph, _bit_list, _vertex_set_mask, complement, focal_vertices
 
 
 def _part(host: Graph, blocks: Iterable[tuple[int, int]]) -> Graph:

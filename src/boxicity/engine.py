@@ -35,9 +35,17 @@ Hoffman 1964).
   At a leaf the relations are the part's whole Gamma, and a graph is
   transitively orientable iff no class conflicts (Golumbic 1977, Thm 5.1);
 * a branch whose remaining potential edge set is contained in an
-  already-found maximal subset cannot contribute a new maximal subset. The
-  test is skipped at an include child, whose remaining potential edge set is
-  its parent's, just found uncovered.
+  already-found maximal subset cannot contribute a new maximal subset. Only
+  an exclude child is tested: an include child's remaining potential edge
+  set is its parent's, just found uncovered. The test takes constant time on
+  two indexes over the found subsets, each numbered by the order it was
+  found: ``holds[p]``, the ids of the subsets that hold scan position p, and
+  ``tail[j]``, the ids of those that hold every position from j on. Each
+  node carries the ids of the found subsets that contain its chosen edges;
+  an include child narrows them by ``holds`` of its edge, and its parent
+  adds back every subset found below it, all of which contain the parent's
+  chosen edges. The exclude child at position j is subsumed iff that set
+  meets ``tail[j]``; it counts as a node and is not entered.
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
@@ -71,18 +79,21 @@ edges ``u-v`` with u < v, parts sorted lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, SelfCheckError
 from .graphs import (
     Graph,
+    _bit_list,
     complement,
     graph6_decode,
     graph6_encode,
     induced_subgraph,
     subgraph_distance,
 )
-from .intervals import _bit_list, _interval_layout, _is_interval_masks
+from .intervals import _interval_layout, _is_interval_masks
 
 #: Default cap on complement edge count for the exact engine
 #: (CLI flag ``--max-complement-edges``).
@@ -106,7 +117,30 @@ class CointervalCover:
     parts: tuple[Graph, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=Graph.edges)))
+        parts = tuple(sorted(self.parts, key=_EDGE_LIST_ORDER))
+        object.__setattr__(self, "parts", parts)
+
+
+def _compare_edge_lists(p: Graph, q: Graph) -> int:
+    """-1, 0 or 1 as p's sorted edge list comes before, equals or comes after
+    q's in lexicographic order, read off the rows without listing edges.
+
+    At the first pair uv that one part holds and the other does not, the part
+    holding uv comes first, unless the other has no edge after uv: then the
+    other's edge list is a prefix of the first's."""
+    for u, (a, b) in enumerate(zip_longest(p.adj, q.adj, fillvalue=0)):
+        diff = (a ^ b) >> (u + 1)
+        if diff:
+            v = (diff & -diff).bit_length() + u
+            rest, other = (b, q) if a >> v & 1 else (a, p)
+            # Later edges of the other part: uw with w > v, or any with both
+            # ends past u.
+            later = rest >> (v + 1) or any(row >> (u + 1) for row in other.adj[u + 1:])
+            return -1 if (other is q) == bool(later) else 1
+    return 0
+
+
+_EDGE_LIST_ORDER = cmp_to_key(_compare_edge_lists)
 
 
 @dataclass(frozen=True)
@@ -179,6 +213,7 @@ def _maximal_cointerval_masks(
     the scan. See the module docstring for the pruning argument.
     """
     m = len(edges)
+    full = (1 << m) - 1
     # Most-conflicted edges first: deciding them early lets the prunes bite.
     # Edge ab is disjoint from m + 1 - deg[a] - deg[b] edges, so the lowest
     # endpoint degree sum goes first.
@@ -199,10 +234,12 @@ def _maximal_cointerval_masks(
         pos[a][b] = pos[b][a] = p
         absent[a] ^= 1 << b
         absent[b] ^= 1 << a
-    suffix = [((1 << m) - 1) >> i << i for i in range(m)] + [0]
 
-    found: list[int] = []  # maximal masks, kept sorted by popcount descending
-    found_sizes: list[int] = []
+    found: list[int] = []  # maximal masks; a mask's id is its index here
+    # holds[p]: ids of the found masks that hold position p; tail[j]: ids of
+    # the found masks that hold every position from j on.
+    holds = [0] * m
+    tail = [0] * (m + 1)
     crow = [0] * n  # crow[v]: chosen neighbours of v on the current branch
     # Implication classes as a parity union-find over the orientation bits of
     # the host edges: bit 0 orients uv with u < v from u to v. Union by rank,
@@ -255,31 +292,22 @@ def _maximal_cointerval_masks(
                 return False
         return True
 
-    def covered(mask: int) -> bool:
-        size = mask.bit_count()
-        for fsize, f in zip(found_sizes, found):
-            if fsize < size:
-                return False
-            if mask & ~f == 0:
-                return True
-        return False
-
-    def rec(idx: int, chosen: int) -> None:
+    def rec(idx: int, chosen: int, cand: int) -> None:
+        """Decide positions idx.. below ``chosen``; ``cand`` holds the ids of
+        the found masks that contain ``chosen``."""
         nonlocal nodes
         nodes += 1
-        # An include child asks its parent's question, chosen | suffix[idx].
-        if idx and not chosen >> (idx - 1) & 1 and covered(chosen | suffix[idx]):
-            return
         if idx == m:
             # Every two disjoint chosen edges have a chosen cross edge and no
             # class conflicts, so the chosen edges have no induced 2K2 and are
             # transitively orientable: cointerval.
-            size = chosen.bit_count()
-            at = 0
-            while at < len(found) and found_sizes[at] >= size:
-                at += 1
-            found.insert(at, chosen)
-            found_sizes.insert(at, size)
+            bit = 1 << len(found)
+            found.append(chosen)
+            for p in _bit_list(chosen):
+                holds[p] |= bit
+            # The top run of ones in chosen starts at the highest zero + 1.
+            for j in range((full & ~chosen).bit_length(), m + 1):
+                tail[j] |= bit
             return
         a, b = internal[idx]
         mark = len(log)
@@ -301,7 +329,10 @@ def _maximal_cointerval_masks(
             if (not ra or joins(a, idx, b, ra)) and (not rb or joins(b, idx, a, rb)):
                 crow[a] |= 1 << b
                 crow[b] |= 1 << a
-                rec(idx + 1, chosen | 1 << idx)
+                before = len(found)
+                rec(idx + 1, chosen | 1 << idx, cand & holds[idx])
+                # Every mask found below the include child contains chosen.
+                cand |= (1 << len(found)) - (1 << before)
                 crow[a] ^= 1 << b
                 crow[b] ^= 1 << a
             if len(log) > mark:
@@ -328,14 +359,20 @@ def _maximal_cointerval_masks(
                 if not relate(pos[c][a], pos[c][b], (c > a) ^ (c > b)):
                     break
             else:
-                rec(idx + 1, chosen)
+                # A found mask that holds chosen and every later position
+                # leaves the exclude child nothing new: one node, no descent.
+                if cand & tail[idx + 1]:
+                    nodes += 1
+                else:
+                    rec(idx + 1, chosen, cand)
             if len(log) > mark:
                 undo(mark)
         absent[a] ^= 1 << b
         absent[b] ^= 1 << a
 
-    rec(0, 0)
+    rec(0, 0, 0)
 
+    found.sort(key=int.bit_count, reverse=True)  # stable: ties in found order
     out = []
     for mask in found:
         lex_mask = 0
@@ -493,8 +530,13 @@ def _self_check(g: Graph, cover: CointervalCover, rep: BoxRep, value: int) -> No
 def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
     """Check the three certificate invariants: parts within the host's edges,
     every part cointerval as a spanning subgraph, and full edge coverage."""
-    host = complement(g)
-    if cover.host != host:
+    host = cover.host
+    full = (1 << g.n) - 1
+    # With both graphs loop-free, host is the complement iff every pair u != v
+    # is an edge of exactly one of them.
+    if host.n != g.n or any(
+        h ^ row != full ^ 1 << v for v, (h, row) in enumerate(zip(host.adj, g.adj))
+    ):
         raise ValueError("cover host is not the complement of the given graph")
     covered = [0] * host.n
     for i, part in enumerate(cover.parts):

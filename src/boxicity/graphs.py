@@ -136,6 +136,16 @@ def _bit_matrix(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return diagonal, tuple(steps)
 
 
+def _bit_list(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _vertex_set_mask(g: Graph, s: Iterable[int]) -> int:
     mask = 0
     for v in s:

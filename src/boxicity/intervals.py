@@ -26,21 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, NotIntervalError, SelfCheckError
-from .graphs import Graph, complement, components_from_masks
+from .graphs import Graph, _bit_list, complement, components_from_masks
 
 #: Cap on the number of maximal cliques ``maximal_cliques`` lists. Recognition
 #: needs none: it decides without cliques, and the witness search stops at one
 #: clique more than the component's vertex count.
 MAX_CLIQUES = 4096
-
-
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _maximal_cliques_masks(

@@ -259,6 +259,59 @@ class TestSurvey:
         assert "theorem check failed" in err
 
 
+
+class TestFlagChecks:
+    """Bad flag values are refused while parsing: exit 2 before any command
+    output, with an error line that names the flag and its bound."""
+
+    def refused(self, args, capsys, flag, bound):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument {flag}: must be at least {bound}, got {args[args.index(flag) + 1]}"
+        )
+
+    def test_negative_cap(self, tmp_path, capsys):
+        listing = tmp_path / "c4.g6"
+        listing.write_text("Cl\n")
+        for args in (
+            ["box", "C?", "--max-complement-edges", "-1"],
+            ["bounds", "C?", "--max-complement-edges", "-3"],
+            ["survey", str(listing), "--max-complement-edges", "-1"],
+        ):
+            self.refused(args, capsys, "--max-complement-edges", 0)
+
+    def test_copy_count_below_two(self, tmp_path, capsys):
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        listing = tmp_path / "c4.g6"
+        listing.write_text("Cl\n")
+        for args in (
+            ["bounds", "C?", "--r", "1"],
+            ["bounds", "C?", "--r", "-2"],
+            ["survey", str(empty), "--mycielski-r", "1"],
+            ["survey", str(listing), "--mycielski-r", "0"],
+        ):
+            flag = "--r" if "--r" in args else "--mycielski-r"
+            self.refused(args, capsys, flag, 2)
+
+    def test_boundary_values_accepted(self, capsys):
+        parser = cli.build_parser()
+        for cap in (0, 5000):
+            args = parser.parse_args(["box", "C?", "--max-complement-edges", str(cap)])
+            assert args.max_complement_edges == cap
+        assert parser.parse_args(["bounds", "C?", "--r", "2"]).r == 2
+        assert parser.parse_args(["survey", "x", "--mycielski-r", "2"]).mycielski_r == 2
+        # A zero cap parses, then refuses any host with an edge.
+        code, _, err = run_cli(["box", "C?", "--max-complement-edges", "0"], capsys)
+        assert code == 3 and "over the cap 0" in err
+
+    def test_non_integer_keeps_argparse_message(self, capsys):
+        code, _, err = run_cli(["box", "C?", "--max-complement-edges", "x"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1].endswith("invalid int value: 'x'")
+
 def test_certificate_stable_across_hash_seeds(tmp_path, src_env):
     """Byte-identical certificates from separate interpreter processes with
     different hash randomization seeds."""

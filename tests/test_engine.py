@@ -162,6 +162,32 @@ class TestMaximalFamily:
             "4a130693af32f1b3ce0923f0ba848b2a94926d7c16dd3b52dff781bd3bbdd764"
         )
 
+    def test_scan_digest_pinned_on_large_hosts(self):
+        # The same raw output on hosts the size of the benchmark's box-hard
+        # inputs, whose families reach 64 members: the complements of C8,
+        # Mycielski(P4) and Mycielski(K5), and 30 seeded random hosts with
+        # 9-10 vertices and 20-22 edges.
+        hosts = [
+            complement(cycle_graph(8)),
+            complement(mycielski(path_graph(4), 2)[0]),
+            complement(mycielski(complete_graph(5), 2)[0]),
+        ]
+        rng = random.Random(12)
+        for _ in range(30):
+            n = rng.choice([9, 10])
+            pairs = list(itertools.combinations(range(n), 2))
+            hosts.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(20, 22))))
+        digest = hashlib.sha256()
+        largest = 0
+        for host in hosts:
+            family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
+            largest = max(largest, len(family))
+            digest.update(f"{family} {nodes}\n".encode())
+        assert largest == 64
+        assert digest.hexdigest() == (
+            "84596626bc4fd59482e0496f63bb15a72f3a9f9b09d4bb0c1001c1ebcb93e910"
+        )
+
     def test_matches_brute_oracle_random_hosts(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -351,6 +377,21 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="complement"):
             verify_cointerval_cover(g, cover)
 
+    def test_host_off_by_one_pair_is_an_error(self, graphs_by_n):
+        # Every host that differs from the complement in one pair, or in its
+        # vertex count, is refused before any part is read.
+        for g in graphs_by_n[4]:
+            host = complement(g)
+            for u, v in itertools.combinations(range(4), 2):
+                rows = list(host.adj)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                with pytest.raises(ValueError, match="complement"):
+                    verify_cointerval_cover(g, CointervalCover(Graph(4, tuple(rows)), ()))
+            wider = Graph(5, host.adj + (0,))
+            with pytest.raises(ValueError, match="complement"):
+                verify_cointerval_cover(g, CointervalCover(wider, ()))
+
     def test_part_replacement_by_maximal_superset(self, graphs_by_n):
         for g in graphs_by_n[4]:
             result = exact_boxicity(g)
@@ -523,6 +564,31 @@ class TestCertificateFormat:
         text = "host CQ\nparts 2\n1-3\n0-2\n"
         cover = parse_cover(text)
         assert format_cover(cover) == "host CQ\nparts 2\n0-2\n1-3\n"
+
+    def test_parts_ordered_by_edge_lists(self):
+        # Parts are ordered as their edge lists compare, an edge list that is
+        # a prefix of another first, and an empty part before every other;
+        # also for parts on more vertices than the host, as a parsed
+        # certificate may hold before it is verified.
+        rng = random.Random(3)
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            wide = list(itertools.combinations(range(n + 1), 2))
+            host = Graph.from_edges(n, pairs)
+            parts = [Graph.from_edges(n, [])] + [
+                Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+                for _ in range(12)
+            ] + [
+                Graph.from_edges(n + 1, rng.sample(wide, rng.randint(0, len(wide))))
+                for _ in range(4)
+            ]
+            # Prefixes of one edge list, shuffled in.
+            last = parts[-1]
+            edges = last.edges()
+            parts += [Graph.from_edges(last.n, edges[:k]) for k in range(len(edges))]
+            rng.shuffle(parts)
+            cover = CointervalCover(host, tuple(parts))
+            assert [p.edges() for p in cover.parts] == sorted(p.edges() for p in parts)
 
     def test_parser_rejects_malformed(self):
         for bad in [
