@@ -1,10 +1,11 @@
 """Exact auxiliary solvers and the boxicity bound calculators.
 
-The two exact solvers (minimum edge clique cover, chromatic number) are
-branch-and-bound routines meant for desk-scale graphs. The Mycielski bounds
-are integer formulas of invariants that every calculator below computes from
-the graph itself (focal-vertex counts are always recomputed, never taken from
-a family descriptor).
+The two exact solvers are iterative-deepening searches meant for desk-scale
+graphs: the minimum edge clique cover is the engine's minimum set cover over
+the maximal cliques, and the chromatic number tries k = 2, 3, ... colours.
+The Mycielski bounds are integer formulas of invariants that every calculator
+below computes from the graph itself (focal-vertex counts are always
+recomputed, never taken from a family descriptor).
 """
 
 from __future__ import annotations
@@ -199,7 +200,9 @@ class MultipartiteMycielskiBounds:
 def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielskiBounds:
     """Closed-form bounds for the boxicity of the Mycielski graph of a
     complete multipartite graph; the value is exact when the number of
-    singleton parts is odd or zero."""
+    singleton parts is odd or zero, and when every part is a singleton (the
+    complete graph, ``mycielski_kn_boxicity``; for an even count it equals the
+    upper bound)."""
     sizes = list(parts)
     if not sizes:
         raise ValueError("need at least one part")
@@ -210,7 +213,12 @@ def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielski
     l = sum(1 for p in sizes if p == 1)
     lower = (2 * k - l + 1) // 2
     upper = min(k, lower + 1)
-    exact = lower if (l == 0 or l % 2 == 1) else None
+    if l == k:
+        exact = mycielski_kn_boxicity(k)
+    elif l == 0 or l % 2 == 1:
+        exact = lower
+    else:
+        exact = None
     return MultipartiteMycielskiBounds(lower, upper, exact)
 
 

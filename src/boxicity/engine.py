@@ -50,14 +50,16 @@ Hoffman 1964).
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
 exactly the brute-force family (asserted against a plain subset scan in the
-tests), just reached faster. Minimum set cover over the family is one
-branch-and-bound pass: branch on the uncovered edge lying in the fewest
-family members, bound by the ceiling of uncovered count over best
-single-set coverage, start from the size of a greedy cover, and after each
-cover found search only for strictly smaller ones. Family order, branch
-order and tie-breaks are lexicographic on edge lists, so the last cover the
-pass records, which it returns as the certificate, is the first minimum
-cover in that order.
+tests), just reached faster. Minimum set cover over the family is iterative
+deepening on the cover size k = 1, 2, ...: each round searches depth first
+for a cover of at most k parts, branching on the uncovered edge lying in the
+fewest family members and cutting a node when the ceiling of uncovered count
+over best single-set coverage exceeds the parts left. Family order, branch
+order and tie-breaks are lexicographic on edge lists, and every node on the
+path to a minimum cover passes the cut in the round k = OPT, so the first
+cover that round finds, the certificate, is the first minimum cover in that
+order. An edgeless host has the single empty maximal subset and the empty
+cover.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
@@ -242,12 +244,14 @@ def _maximal_cointerval_masks(
     tail = [0] * (m + 1)
     crow = [0] * n  # crow[v]: chosen neighbours of v on the current branch
     # Implication classes as a parity union-find over the orientation bits of
-    # the host edges: bit 0 orients uv with u < v from u to v. Union by rank,
-    # no path compression, so ``undo`` can detach the roots ``log`` records.
+    # the host edges: bit 0 orients uv with u < v from u to v. No path
+    # compression, so ``undo`` can detach the roots ``log`` records. ``relate``
+    # hangs its first edge's root under its second's, and ``joins`` passes the
+    # newly chosen edge first, so that edge joins a class one step below its
+    # root instead of becoming the class's new root.
     parent = list(range(m))
-    rank = [0] * m
     flip = [0] * m  # orientation of p relative to parent[p]
-    log: list[int] = []  # attached roots; ~q where the new root's rank grew
+    log: list[int] = []  # attached roots, in attach order
     nodes = 0
 
     def relate(p: int, q: int, d: int) -> bool:
@@ -261,23 +265,14 @@ def _maximal_cointerval_masks(
             q = parent[q]
         if p == q:
             return not d
-        if rank[p] < rank[q]:
-            p, q = q, p
-        parent[q] = p
-        flip[q] = d
-        if rank[p] == rank[q]:
-            rank[p] += 1
-            log.append(~q)
-        else:
-            log.append(q)
+        parent[p] = q
+        flip[p] = d
+        log.append(p)
         return True
 
     def undo(mark: int) -> None:
         while len(log) > mark:
             q = log.pop()
-            if q < 0:
-                q = ~q
-                rank[parent[q]] -= 1
             parent[q] = q
 
     def joins(v: int, p: int, w: int, others: int) -> bool:
@@ -410,9 +405,12 @@ def maximal_cointerval_family(host: Graph) -> list[Graph]:
 def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
     """Exact minimum cover of the universe bits by the given set masks.
 
-    Returns chosen set indices (first optimal cover in deterministic branch
-    order) and the node count. Branches on the uncovered element contained in
-    the fewest sets, sets tried in list order.
+    Iterative deepening on the cover size k = 1, 2, ...: each round is a
+    depth-first search for at most k sets that branches on the uncovered
+    element contained in the fewest sets, tries sets in list order, and cuts a
+    node whose uncovered count, over the best single-set gain and rounded up,
+    exceeds the sets left. Returns the chosen set indices, the first minimum
+    cover in that order, and the node count over all rounds.
     """
     if universe == 0:
         return [], 0
@@ -425,61 +423,28 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
     elem_sets = {
         e: [i for i, s in enumerate(sets) if s >> e & 1] for e in _bit_list(universe)
     }
-
-    def pick_element(cov: int) -> int:
-        best = -1
-        best_count = 1 << 30
-        rest = universe & ~cov
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            e = low.bit_length() - 1
-            c = len(elem_sets[e])
-            if c < best_count:
-                best_count = c
-                best = e
-        return best
-
-    def lower_bound(cov: int) -> int:
-        rem = (universe & ~cov).bit_count()
-        if rem == 0:
-            return 0
-        mx = max((s & universe & ~cov).bit_count() for s in sets)
-        return -(-rem // mx)
-
-    cov = 0
-    limit = 0
-    while cov & universe != universe:  # greedy upper bound
-        i = max(
-            range(len(sets)),
-            key=lambda i: ((sets[i] & universe & ~cov).bit_count(), -i),
-        )
-        cov |= sets[i]
-        limit += 1
-
-    chosen: list[int] = []
     path: list[int] = []
 
-    def search(cov: int, count: int) -> None:
-        # Bound before the completeness test: a full cover over the limit
-        # must not raise the limit again.
-        nonlocal limit, nodes
+    def search(rest: int, left: int) -> bool:
+        nonlocal nodes
         nodes += 1
-        if count + lower_bound(cov) > limit:
-            return
-        if cov & universe == universe:
-            chosen[:] = path
-            limit = count - 1
-            return
-        for i in elem_sets[pick_element(cov)]:
+        if not rest:
+            return True
+        gain = max((s & rest).bit_count() for s in sets)
+        if -(-rest.bit_count() // gain) > left:
+            return False
+        e = min(_bit_list(rest), key=lambda e: len(elem_sets[e]))
+        for i in elem_sets[e]:
             path.append(i)
-            search(cov | sets[i], count + 1)
+            if search(rest & ~sets[i], left - 1):
+                return True
             path.pop()
+        return False
 
-    search(0, 0)
-    if not chosen:
-        raise SelfCheckError("branch and bound found no cover within the greedy bound")
-    return chosen, nodes
+    k = 1
+    while not search(universe, k):
+        k += 1
+    return path, nodes
 
 
 def exact_boxicity(
@@ -494,11 +459,6 @@ def exact_boxicity(
     """
     host = complement(g)
     edges = host.edges()
-    if not edges:
-        cover = CointervalCover(host, ())
-        rep = _cover_to_box_rep(g, cover)
-        _self_check(g, cover, rep, 0)
-        return BoxicityResult(0, cover, rep, 0, 0)
     family, scan_nodes = _maximal_cointerval_family_masks(host, max_complement_edges)
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)

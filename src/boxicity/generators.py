@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, join
+from .graphs import Graph, _check_vertex_count, join
 
 
 def complete_graph(n: int) -> Graph:
@@ -33,6 +33,7 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_vertex_count(n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph.from_edges(n, edges)
 
@@ -40,6 +41,7 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center as vertex 0."""
     _check_positive(leaves)
+    _check_vertex_count(leaves + 1)
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -51,6 +53,7 @@ def complete_multipartite(parts: list[int]) -> Graph:
         if p < 1:
             raise ValueError(f"part sizes must be positive, got {p}")
     n = sum(parts)
+    _check_vertex_count(n)
     labels = []
     for i, p in enumerate(parts):
         labels += [i] * p
@@ -61,8 +64,11 @@ def complete_multipartite(parts: list[int]) -> Graph:
 
 
 def _check_positive(n: int) -> None:
+    """A family size must be positive and, as a vertex count, within
+    ``MAX_VERTICES``."""
     if n < 1:
         raise ValueError(f"family size must be at least 1, got {n}")
+    _check_vertex_count(n)
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,7 @@ def mycielski(g: Graph, r: int = 2) -> tuple[Graph, MycielskiLayout]:
     if r < 2:
         raise ValueError(f"mycielski needs r >= 2, got {r}")
     layout = MycielskiLayout(g.n, r)
+    _check_vertex_count(layout.total)
     n = g.n
     rows = [row | row << n for row in g.adj]
     for i in range(2, r):
@@ -122,6 +129,7 @@ def focalize(g: Graph, times: int = 1) -> Graph:
     """Iterated join with a single vertex; new focal vertices get the highest ids."""
     if times < 1:
         raise ValueError(f"focalize needs times >= 1, got {times}")
+    _check_vertex_count(g.n + times)
     out = g
     for _ in range(times):
         out = join(out, Graph(1, (0,)))

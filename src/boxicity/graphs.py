@@ -41,10 +41,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(
-                f"vertex count {self.n} exceeds MAX_VERTICES={MAX_VERTICES}"
-            )
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         if min(self.adj) < 0 or max(self.adj) >> self.n:
@@ -78,6 +75,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        _check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -114,6 +112,14 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count over ``MAX_VERTICES``. Builders call this with
+    their final count before allocating rows, so a huge request fails at once
+    instead of exhausting memory."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
 
 
 @functools.cache

@@ -244,13 +244,26 @@ class TestMultipartiteBounds:
         assert (b.lower, b.upper, b.exact) == (2, 3, None)
 
     def test_exact_values_match_engine_small(self):
-        for parts in ([1, 1], [2, 1], [2, 2], [1, 1, 1]):
+        checked = []
+        for parts in ([1, 1], [2, 1], [2, 2], [1, 1, 1], [1, 1, 1, 1]):
             b = multipartite_mycielski_bounds(parts)
             if b.exact is None:
                 continue
             myc, _ = mycielski(complete_multipartite(parts), 2)
             if complement(myc).num_edges() <= 24:
                 assert exact_boxicity(myc).value == b.exact
+                checked.append(parts)
+        # C5, the Mycielski graph of K2, and M(K4), 14 complement edges and
+        # boxicity 3, have an exact value because every part is a singleton.
+        assert [1, 1] in checked and [1, 1, 1, 1] in checked
+
+    def test_complete_graphs_are_exact(self):
+        for n in range(1, 9):
+            b = multipartite_mycielski_bounds([1] * n)
+            assert b.exact == mycielski_kn_boxicity(n)
+            assert b.lower <= b.exact <= b.upper
+            if n % 2 == 0:
+                assert b.exact == b.upper
 
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):

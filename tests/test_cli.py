@@ -49,6 +49,34 @@ class TestGen:
         code, _, err = run_cli(["gen", "dodecahedron:20"], capsys)
         assert code == 2 and "error" in err
 
+    def test_huge_vertex_count_is_capacity_error(self, capsys):
+        # Refused before any row is allocated: these specs once ran out of
+        # memory and exited 5.
+        huge = "99999999999"
+        for spec in (
+            f"complete:{huge}",
+            f"empty:{huge}",
+            f"path:{huge}",
+            f"cycle:{huge}",
+            f"star:{huge}",
+            f"multipartite:{huge},1",
+            f"mycielski:complete:3:{huge}",
+            f"focalize:complete:3:{huge}",
+        ):
+            code, out, err = run_cli(["gen", spec], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith("capacity error: ") and "MAX_VERTICES=64" in err
+
+    def test_huge_copy_count_is_capacity_error(self, tmp_path, capsys):
+        listing = tmp_path / "c4.g6"
+        listing.write_text("Cl\n")
+        for args in (
+            ["bounds", "Cl", "--r", "99999999999"],
+            ["survey", str(listing), "--mycielski-r", "99999999999"],
+        ):
+            code, _, err = run_cli(args, capsys)
+            assert code == 3 and "MAX_VERTICES=64" in err
+
 
 class TestBox:
     def test_mycielski_four_cycle_value(self, tmp_path, capsys):

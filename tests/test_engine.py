@@ -140,9 +140,9 @@ class TestMaximalFamily:
     def test_pinned_search_counters(self):
         # Deterministic counters are the regression signal of the scan.
         cases = [
-            (cycle_graph(8), 25057, 64),
-            (mycielski(path_graph(4), 2)[0], 24681, 46),
-            (mycielski(complete_graph(5), 2)[0], 4169, 20),
+            (cycle_graph(8), 24964, 64),
+            (mycielski(path_graph(4), 2)[0], 24653, 46),
+            (mycielski(complete_graph(5), 2)[0], 4170, 20),
         ]
         for g, nodes, family_size in cases:
             result = exact_boxicity(g)
@@ -251,6 +251,13 @@ class TestExactBoxicity:
         assert result.value == 0
         assert result.certificate.parts == ()
         assert result.box_rep.dimension == 1
+
+    def test_complete_runs_the_main_path(self):
+        # An edgeless complement has one maximal subset, the empty one, as
+        # ``maximal_cointerval_family`` reports, and the empty cover needs no
+        # search.
+        result = exact_boxicity(complete_graph(5))
+        assert (result.value, result.nodes_explored, result.family_size) == (0, 0, 1)
 
     def test_four_cycle(self):
         assert exact_boxicity(cycle_graph(4)).value == 2

@@ -1,6 +1,7 @@
 import pytest
 
 from boxicity.corpus import are_isomorphic
+from boxicity.errors import CapacityError
 from boxicity.generators import (
     complete_graph,
     complete_multipartite,
@@ -45,6 +46,26 @@ class TestFamilies:
             cycle_graph(2)
         with pytest.raises(ValueError):
             path_graph(0)
+
+    def test_vertex_cap_at_the_boundary(self):
+        # Each builder accepts its largest graph within MAX_VERTICES = 64 and
+        # refuses one more vertex before it builds anything.
+        builders = [
+            (complete_graph, 64, 65),
+            (empty_graph, 64, 65),
+            (path_graph, 64, 65),
+            (cycle_graph, 64, 65),
+            (star_graph, 63, 64),
+            (lambda n: complete_multipartite([n - 1, 1]), 64, 65),
+            (lambda r: mycielski(complete_graph(3), r)[0], 21, 22),
+            (lambda t: focalize(complete_graph(3), t), 61, 62),
+        ]
+        for build, fits, over in builders:
+            assert build(fits).n == 64
+            with pytest.raises(CapacityError, match="MAX_VERTICES=64"):
+                build(over)
+            with pytest.raises(CapacityError, match="MAX_VERTICES=64"):
+                build(10**11)
 
 
 class TestMycielski:

@@ -55,6 +55,9 @@ class TestConstruction:
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
             Graph(65, (0,) * 65)
+        # Refused before the rows are allocated.
+        with pytest.raises(CapacityError, match="MAX_VERTICES=64"):
+            Graph.from_edges(10**11, [])
 
     def test_edges_lexicographic(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])

@@ -1,7 +1,8 @@
 """Property tests: the subset scan against the brute-force family, the
-graph6 and certificate text formats against their parsers, the graph
-symmetry check against single-bit flips, and the support-reduced cointerval
-decision against the full-width one."""
+minimum cover search against a brute-force minimum, the graph6 and
+certificate text formats against their parsers, the graph symmetry check
+against single-bit flips, and the support-reduced cointerval decision against
+the full-width one."""
 
 import itertools
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from boxicity.engine import (
     _is_cointerval,
+    _minimum_cover,
     exact_boxicity,
     format_cover,
     maximal_cointerval_family,
@@ -47,6 +49,39 @@ def graphs(draw, max_n, max_edges=None):
 def test_scan_matches_brute_family(host):
     fast = [p.edges() for p in maximal_cointerval_family(host)]
     assert sorted(fast) == brute_maximal_family(host)
+
+
+def union(masks):
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+@st.composite
+def cover_instances(draw, max_elements=12, max_sets=10):
+    """Set masks over up to ``max_elements`` elements and a universe that
+    they cover: a subset of their union."""
+    size = draw(st.integers(1, max_elements))
+    sets = draw(st.lists(st.integers(0, (1 << size) - 1), max_size=max_sets))
+    return union(sets) & draw(st.integers(0, (1 << size) - 1)), sets
+
+
+@settings(FIXED, max_examples=300)
+@given(cover_instances())
+def test_minimum_cover_matches_brute_minimum(instance):
+    universe, sets = instance
+    chosen, _ = _minimum_cover(universe, sets)
+    assert universe & ~union(sets[i] for i in chosen) == 0
+    brute = next(
+        k
+        for k in range(len(sets) + 1)
+        if any(
+            universe & ~union(combo) == 0
+            for combo in itertools.combinations(sets, k)
+        )
+    )
+    assert len(chosen) == brute
 
 
 @settings(FIXED, max_examples=200)
