@@ -89,6 +89,23 @@ def brute_boxicity(g):
     raise AssertionError("boxicity above 2 impossible on up to 5 vertices")
 
 
+def _large_hosts():
+    """Hosts the size of the benchmark's box-hard inputs: the complements of
+    C8, Mycielski(P4) and Mycielski(K5), and 30 seeded random hosts with 9-10
+    vertices and 20-22 edges."""
+    hosts = [
+        complement(cycle_graph(8)),
+        complement(mycielski(path_graph(4), 2)[0]),
+        complement(mycielski(complete_graph(5), 2)[0]),
+    ]
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.choice([9, 10])
+        pairs = list(itertools.combinations(range(n), 2))
+        hosts.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(20, 22))))
+    return hosts
+
+
 class TestMaximalFamily:
     def test_complete_host_single_part(self):
         host = complete_graph(5)
@@ -164,28 +181,39 @@ class TestMaximalFamily:
 
     def test_scan_digest_pinned_on_large_hosts(self):
         # The same raw output on hosts the size of the benchmark's box-hard
-        # inputs, whose families reach 64 members: the complements of C8,
-        # Mycielski(P4) and Mycielski(K5), and 30 seeded random hosts with
-        # 9-10 vertices and 20-22 edges.
-        hosts = [
-            complement(cycle_graph(8)),
-            complement(mycielski(path_graph(4), 2)[0]),
-            complement(mycielski(complete_graph(5), 2)[0]),
-        ]
-        rng = random.Random(12)
-        for _ in range(30):
-            n = rng.choice([9, 10])
-            pairs = list(itertools.combinations(range(n), 2))
-            hosts.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(20, 22))))
+        # inputs, whose families reach 64 members.
         digest = hashlib.sha256()
         largest = 0
-        for host in hosts:
+        for host in _large_hosts():
             family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
             largest = max(largest, len(family))
             digest.update(f"{family} {nodes}\n".encode())
         assert largest == 64
         assert digest.hexdigest() == (
             "84596626bc4fd59482e0496f63bb15a72f3a9f9b09d4bb0c1001c1ebcb93e910"
+        )
+
+    def test_scan_masks_digest_pinned(self, graphs_by_n):
+        # The masks alone, in the order found, on the same corpus: a prune
+        # that only cuts subtrees finding nothing new leaves this unchanged
+        # while the node count in the digest above moves.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                host = complement(g)
+                family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
+                digest.update(f"{family}\n".encode())
+        assert digest.hexdigest() == (
+            "509c545908270c39348a3f80ef04855833b6be77ab933dafa767e16773fefd3a"
+        )
+
+    def test_scan_masks_digest_pinned_on_large_hosts(self):
+        digest = hashlib.sha256()
+        for host in _large_hosts():
+            family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
+            digest.update(f"{family}\n".encode())
+        assert digest.hexdigest() == (
+            "fa7b4c5330f7557d19b4f0dcfb5a5da839b3455dc389a8ebc5cdac033bffa74a"
         )
 
     def test_matches_brute_oracle_random_hosts(self):
