@@ -36,7 +36,9 @@ from .engine import (
 )
 from .errors import CapacityError, NotIntervalError, SelfCheckError
 from .generators import gen_family, mycielski
-from .graphs import complement, graph6_decode, graph6_encode, to_dot
+from .graphs import (
+    _check_vertex_count, complement, graph6_decode, graph6_encode, to_dot
+)
 from .intervals import interval_representation
 
 SURVEY_HEADER = (
@@ -206,12 +208,12 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     with open(args.graphs) as fh:
-        lines = [line.strip() for line in fh]
+        graphs = [(line, graph6_decode(line)) for line in map(str.strip, fh) if line]
+    # Every Mycielski graph fits, or nothing is written.
+    for _, g in graphs:
+        _check_vertex_count(args.mycielski_r * g.n + 1)
     print(SURVEY_HEADER)
-    for line in lines:
-        if not line:
-            continue
-        g = graph6_decode(line)
+    for line, g in graphs:
         row = survey_row(g, r=args.mycielski_r, cap=args.max_complement_edges)
         print(row.to_csv())
         if not row.all_pass():

@@ -15,7 +15,9 @@ from .errors import SelfCheckError
 from .bounds import CliqueCover, verify_clique_cover
 from .engine import CointervalCover, verify_cointerval_cover
 from .generators import complete_graph, mycielski
-from .graphs import Graph, _bit_list, _vertex_set_mask, complement, focal_vertices
+from .graphs import (
+    Graph, _bit_list, _is_complement, _vertex_set_mask, complement, focal_vertices
+)
 
 
 def _part(host: Graph, blocks: Iterable[tuple[int, int]]) -> Graph:
@@ -64,7 +66,11 @@ def _mycielski_cover(g: Graph, cover: CliqueCover, myc: Graph) -> CointervalCove
     Parts are built from vertex masks: copy 1 of a base vertex set is its
     mask, copy 2 that mask shifted by n, and the apex is bit 2n.
     """
-    verdict = verify_clique_cover(complement(g), cover)
+    if not _is_complement(cover.host, g):
+        raise ValueError(
+            "clique cover does not verify: cover host differs from the given graph"
+        )
+    verdict = verify_clique_cover(cover.host, cover)
     if not verdict:
         raise ValueError(f"clique cover does not verify: {verdict.reason}")
     n = g.n

@@ -44,8 +44,14 @@ Hoffman 1964).
   node carries the ids of the found subsets that contain its chosen edges;
   an include child narrows them by ``holds`` of its edge, and its parent
   adds back every subset found below it, all of which contain the parent's
-  chosen edges. The exclude child at position j is subsumed iff that set
-  meets ``tail[j]``; it counts as a node and is not entered.
+  chosen edges. The exclude child at position j is subsumed when that set
+  meets ``tail[j]``, and otherwise when one of its subsets holds every
+  position from j on that is not blocked. Host edge xy is blocked when a
+  chosen edge has both ends absent to x and to y: absent pairs and chosen
+  edges only accumulate along a branch, so the first ground refuses xy at
+  every node below, and every leaf below is a proper subset of that found
+  subset. The test reads only the positions a subset misses and stops at the
+  first unblocked one. A subsumed child counts as a node and is not entered.
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
@@ -89,6 +95,7 @@ from .errors import CapacityError, SelfCheckError
 from .graphs import (
     Graph,
     _bit_list,
+    _is_complement,
     complement,
     graph6_decode,
     graph6_encode,
@@ -287,6 +294,33 @@ def _maximal_cointerval_masks(
                 return False
         return True
 
+    def subsumed(j: int, cand: int) -> bool:
+        """Whether a found mask in ``cand`` holds every position from j on
+        that no chosen edge blocks: host edge xy is blocked when a chosen edge
+        has both ends absent to x and to y, so no leaf below holds it."""
+        later = full >> j << j
+        live = dead = 0  # positions seen unblocked, blocked
+        for c in _bit_list(cand):
+            miss = later & ~found[c] & ~dead
+            if miss & live:
+                continue
+            for p in _bit_list(miss):
+                x, y = internal[p]
+                far = absent[x] & absent[y]
+                rest = far
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    if crow[u.bit_length() - 1] & far:
+                        dead |= 1 << p
+                        break
+                else:
+                    live |= 1 << p
+                    break
+            else:
+                return True
+        return False
+
     def rec(idx: int, chosen: int, cand: int) -> None:
         """Decide positions idx.. below ``chosen``; ``cand`` holds the ids of
         the found masks that contain ``chosen``."""
@@ -354,9 +388,10 @@ def _maximal_cointerval_masks(
                 if not relate(pos[c][a], pos[c][b], (c > a) ^ (c > b)):
                     break
             else:
-                # A found mask that holds chosen and every later position
-                # leaves the exclude child nothing new: one node, no descent.
-                if cand & tail[idx + 1]:
+                # A found mask that holds chosen and every later position a
+                # leaf below could hold leaves the exclude child nothing new:
+                # one node, no descent.
+                if cand & tail[idx + 1] or cand and subsumed(idx + 1, cand):
                     nodes += 1
                 else:
                     rec(idx + 1, chosen, cand)
@@ -377,8 +412,11 @@ def _maximal_cointerval_masks(
     return out, nodes
 
 
-def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], int]:
-    edges = host.edges()
+def _maximal_cointerval_family_masks(
+    n: int, edges: list[tuple[int, int]], cap: int
+) -> tuple[list[int], int]:
+    """The maximal cointerval subsets of the host's sorted edge list ``edges``
+    on ``n`` vertices, as masks ordered by edge list, plus the node count."""
     if len(edges) > cap:
         raise CapacityError(
             f"host has {len(edges)} edges, over the cap {cap} "
@@ -386,7 +424,7 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
         )
     if not edges:
         return [0], 0
-    family, nodes = _maximal_cointerval_masks(host.n, edges)
+    family, nodes = _maximal_cointerval_masks(n, edges)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=_bit_list)
     return family, nodes
@@ -395,8 +433,10 @@ def _maximal_cointerval_family_masks(host: Graph, cap: int) -> tuple[list[int], 
 def maximal_cointerval_family(host: Graph) -> list[Graph]:
     """All inclusion-maximal cointerval edge subsets of the host graph, as
     spanning subgraphs, ordered lexicographically by sorted edge list."""
-    family, _ = _maximal_cointerval_family_masks(host, DEFAULT_COMPLEMENT_EDGE_CAP)
     edges = host.edges()
+    family, _ = _maximal_cointerval_family_masks(
+        host.n, edges, DEFAULT_COMPLEMENT_EDGE_CAP
+    )
     return [
         Graph.from_edges(host.n, (edges[p] for p in _bit_list(mask))) for mask in family
     ]
@@ -459,7 +499,9 @@ def exact_boxicity(
     """
     host = complement(g)
     edges = host.edges()
-    family, scan_nodes = _maximal_cointerval_family_masks(host, max_complement_edges)
+    family, scan_nodes = _maximal_cointerval_family_masks(
+        host.n, edges, max_complement_edges
+    )
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(
@@ -491,12 +533,7 @@ def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
     """Check the three certificate invariants: parts within the host's edges,
     every part cointerval as a spanning subgraph, and full edge coverage."""
     host = cover.host
-    full = (1 << g.n) - 1
-    # With both graphs loop-free, host is the complement iff every pair u != v
-    # is an edge of exactly one of them.
-    if host.n != g.n or any(
-        h ^ row != full ^ 1 << v for v, (h, row) in enumerate(zip(host.adj, g.adj))
-    ):
+    if not _is_complement(host, g):
         raise ValueError("cover host is not the complement of the given graph")
     covered = [0] * host.n
     for i, part in enumerate(cover.parts):

@@ -166,6 +166,15 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows)
 
 
+def _is_complement(h: Graph, g: Graph) -> bool:
+    """Whether h is the complement of g, read off the rows: with both graphs
+    loop-free, every pair u != v is an edge of exactly one of them."""
+    full = (1 << g.n) - 1
+    return h.n == g.n and all(
+        a ^ b == full ^ 1 << v for v, (a, b) in enumerate(zip(h.adj, g.adj))
+    )
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Subgraph induced on ``s``, relabeled order-preservingly to ``0..|s|-1``."""
     verts = sorted(set(s))

@@ -276,6 +276,15 @@ class TestSurvey:
                 repeated = [key for key, count in calls.items() if count > 1]
                 assert not repeated, f"{graph6_encode(g)}: {repeated}"
 
+    def test_oversized_mycielski_graph_refused_before_output(self, tmp_path, capsys):
+        # Nine copies of K2 give 19 vertices, of C8 73: the second graph is
+        # refused before the header or the first row is written.
+        listing = tmp_path / "two.g6"
+        listing.write_text(f"A_\n{graph6_encode(cycle_graph(8))}\n")
+        code, out, err = run_cli(["survey", str(listing), "--mycielski-r", "9"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "capacity error: vertex count 73 exceeds MAX_VERTICES=64\n"
+
     def test_failing_check_aborts_with_row(self, tmp_path, capsys, monkeypatch):
         row = cli.SurveyRow("A_", 2, 1, 0, 2, 0, 2, 1, 2, True, True, False, True)
         monkeypatch.setattr(cli, "survey_row", lambda g, r, cap: row)

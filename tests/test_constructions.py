@@ -15,7 +15,7 @@ from boxicity.generators import (
     mycielski,
     star_graph,
 )
-from boxicity.graphs import complement, focal_vertices
+from boxicity.graphs import Graph, complement, focal_vertices
 
 
 def surcharge(l):
@@ -140,6 +140,21 @@ class TestMycielskiCover:
         comp = complement(g)
         with pytest.raises(ValueError, match="does not verify"):
             mycielski_cover(g, CliqueCover(comp, ((0, 1),)))
+
+    def test_wrong_host_is_an_error(self):
+        # The host must be the complement of g exactly: off by one pair, the
+        # graph itself, or on another vertex count.
+        g = cycle_graph(5)
+        comp = complement(g)
+        u, v = comp.edges()[0]
+        off_by_one = Graph.from_edges(5, [e for e in comp.edges() if e != (u, v)])
+        for host in (off_by_one, g, complement(cycle_graph(6))):
+            _, cover = edge_clique_cover(host)
+            with pytest.raises(ValueError) as err:
+                mycielski_cover(g, cover)
+            assert str(err.value) == (
+                "clique cover does not verify: cover host differs from the given graph"
+            )
 
     def test_certificate_format_round_trip(self):
         from boxicity.engine import parse_cover

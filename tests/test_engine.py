@@ -154,12 +154,28 @@ class TestMaximalFamily:
             family = maximal_cointerval_family(host)
             assert sorted(p.edges() for p in family) == brute_maximal_family(host)
 
+    def test_blocked_later_edges_cut_an_exclude_branch(self):
+        # On the path 0-1-...-5 the scan decides 01, 45, 12, 23, 34 in that
+        # order and first finds {01, 12, 23}. Below chosen {01, 12} with 45
+        # out, deciding 23 out leaves only 34 later; no found set holds 34,
+        # so the tail test fails, but 01 has all four cross pairs to 34
+        # absent, so 34 is blocked and the found set covers the rest. The
+        # same holds below chosen {01} with 45 and 12 out. Together the two
+        # cuts save three nodes; without them the scan reads 24.
+        host = path_graph(6)
+        assert engine._maximal_cointerval_masks(host.n, host.edges()) == ([7, 28, 14], 21)
+        assert [p.edges() for p in maximal_cointerval_family(host)] == [
+            [(0, 1), (1, 2), (2, 3)],
+            [(1, 2), (2, 3), (3, 4)],
+            [(2, 3), (3, 4), (4, 5)],
+        ]
+
     def test_pinned_search_counters(self):
         # Deterministic counters are the regression signal of the scan.
         cases = [
-            (cycle_graph(8), 24964, 64),
-            (mycielski(path_graph(4), 2)[0], 24653, 46),
-            (mycielski(complete_graph(5), 2)[0], 4170, 20),
+            (cycle_graph(8), 14000, 64),
+            (mycielski(path_graph(4), 2)[0], 14677, 46),
+            (mycielski(complete_graph(5), 2)[0], 2782, 20),
         ]
         for g, nodes, family_size in cases:
             result = exact_boxicity(g)
@@ -176,7 +192,7 @@ class TestMaximalFamily:
                 family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
                 digest.update(f"{family} {nodes}\n".encode())
         assert digest.hexdigest() == (
-            "4a130693af32f1b3ce0923f0ba848b2a94926d7c16dd3b52dff781bd3bbdd764"
+            "c94d4dabbd16e4768fb3039405eca58abeb463fa8c6d03b1bf44fa52c74835cf"
         )
 
     def test_scan_digest_pinned_on_large_hosts(self):
@@ -190,7 +206,7 @@ class TestMaximalFamily:
             digest.update(f"{family} {nodes}\n".encode())
         assert largest == 64
         assert digest.hexdigest() == (
-            "84596626bc4fd59482e0496f63bb15a72f3a9f9b09d4bb0c1001c1ebcb93e910"
+            "1bbf66471c85b6d1dbdbb924b7336f6e7f02daa65760865025ccc83c5c95ba34"
         )
 
     def test_scan_masks_digest_pinned(self, graphs_by_n):
@@ -247,7 +263,7 @@ class TestMaximalFamily:
                 host = complement(g)
                 edges = host.edges()
                 family, _ = engine._maximal_cointerval_family_masks(
-                    host, engine.DEFAULT_COMPLEMENT_EDGE_CAP
+                    n, edges, engine.DEFAULT_COMPLEMENT_EDGE_CAP
                 )
                 full = (1 << n) - 1
                 for mask in family:

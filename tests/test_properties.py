@@ -51,6 +51,24 @@ def test_scan_matches_brute_family(host):
     assert sorted(fast) == brute_maximal_family(host)
 
 
+@st.composite
+def middle_hosts(draw):
+    """Hosts on 5-7 vertices with 5-12 edges: room for a chosen edge whose
+    cross pairs to a later edge are all absent, so the scan cuts exclude
+    branches whose unblocked later edges a found maximal set holds."""
+    n = draw(st.integers(5, 7))
+    size = draw(st.integers(5, 12 if n > 5 else 9))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, rng.sample(list(itertools.combinations(range(n), 2)), size))
+
+
+@settings(FIXED, max_examples=100)
+@given(middle_hosts())
+def test_scan_matches_brute_family_five_to_seven_vertices(host):
+    fast = [p.edges() for p in maximal_cointerval_family(host)]
+    assert sorted(fast) == brute_maximal_family(host)
+
+
 def union(masks):
     out = 0
     for mask in masks:
