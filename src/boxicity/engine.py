@@ -300,22 +300,26 @@ def _maximal_cointerval_masks(
         has both ends absent to x and to y, so no leaf below holds it."""
         later = full >> j << j
         live = dead = 0  # positions seen unblocked, blocked
-        for c in _bit_list(cand):
-            miss = later & ~found[c] & ~dead
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            miss = later & ~found[low.bit_length() - 1] & ~dead
             if miss & live:
                 continue
-            for p in _bit_list(miss):
-                x, y = internal[p]
+            while miss:
+                p = miss & -miss
+                miss ^= p
+                x, y = internal[p.bit_length() - 1]
                 far = absent[x] & absent[y]
                 rest = far
                 while rest:
                     u = rest & -rest
                     rest ^= u
                     if crow[u.bit_length() - 1] & far:
-                        dead |= 1 << p
+                        dead |= p
                         break
                 else:
-                    live |= 1 << p
+                    live |= p
                     break
             else:
                 return True
