@@ -50,8 +50,10 @@ Hoffman 1964).
   chosen edge has both ends absent to x and to y: absent pairs and chosen
   edges only accumulate along a branch, so the first ground refuses xy at
   every node below, and every leaf below is a proper subset of that found
-  subset. The test reads only the positions a subset misses and stops at the
-  first unblocked one. A subsumed child counts as a node and is not entered.
+  subset. The test walks the later positions, tests only those that some
+  remaining candidate misses, narrows the candidates by ``holds`` at each
+  unblocked one and fails when none is left. A subsumed child counts as a
+  node and is not entered.
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
@@ -297,33 +299,28 @@ def _maximal_cointerval_masks(
     def subsumed(j: int, cand: int) -> bool:
         """Whether a found mask in ``cand`` holds every position from j on
         that no chosen edge blocks: host edge xy is blocked when a chosen edge
-        has both ends absent to x and to y, so no leaf below holds it."""
+        has both ends absent to x and to y, so no leaf below holds it. Only a
+        position that some candidate misses is tested, and an unblocked one
+        keeps the candidates that hold it."""
         later = full >> j << j
-        live = dead = 0  # positions seen unblocked, blocked
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            miss = later & ~found[low.bit_length() - 1] & ~dead
-            if miss & live:
-                continue
-            while miss:
-                p = miss & -miss
-                miss ^= p
-                x, y = internal[p.bit_length() - 1]
+        while later:
+            p = later & -later
+            later ^= p
+            i = p.bit_length() - 1
+            if cand & ~holds[i]:
+                x, y = internal[i]
                 far = absent[x] & absent[y]
                 rest = far
                 while rest:
                     u = rest & -rest
                     rest ^= u
                     if crow[u.bit_length() - 1] & far:
-                        dead |= p
                         break
                 else:
-                    live |= p
-                    break
-            else:
-                return True
-        return False
+                    cand &= holds[i]
+                    if not cand:
+                        return False
+        return True
 
     def rec(idx: int, chosen: int, cand: int) -> None:
         """Decide positions idx.. below ``chosen``; ``cand`` holds the ids of
