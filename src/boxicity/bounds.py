@@ -300,7 +300,8 @@ def compute_bounds_report(
     upper.append((myc.n // 2, "roberts-floor-n/2"))
     chi_myc = None
     if r == 2:
-        chi_myc = chromatic_number(g) + 1
+        if g.n <= DEFAULT_CHROMATIC_MAX_N:
+            chi_myc = chromatic_number(g) + 1
     elif myc.n <= DEFAULT_CHROMATIC_MAX_N:
         chi_myc = chromatic_number(myc)
     if chi_myc is not None:

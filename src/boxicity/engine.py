@@ -37,23 +37,20 @@ Hoffman 1964).
 * a branch whose remaining potential edge set is contained in an
   already-found maximal subset cannot contribute a new maximal subset. Only
   an exclude child is tested: an include child's remaining potential edge
-  set is its parent's, just found uncovered. The test takes constant time on
-  two indexes over the found subsets, each numbered by the order it was
-  found: ``holds[p]``, the ids of the subsets that hold scan position p, and
-  ``tail[j]``, the ids of those that hold every position from j on. Each
-  node carries the ids of the found subsets that contain its chosen edges;
-  an include child narrows them by ``holds`` of its edge, and its parent
-  adds back every subset found below it, all of which contain the parent's
-  chosen edges. The exclude child at position j is subsumed when that set
-  meets ``tail[j]``, and otherwise when one of its subsets holds every
-  position from j on that is not blocked. Host edge xy is blocked when a
-  chosen edge has both ends absent to x and to y: absent pairs and chosen
-  edges only accumulate along a branch, so the first ground refuses xy at
-  every node below, and every leaf below is a proper subset of that found
-  subset. The test walks the later positions, tests only those that some
-  remaining candidate misses, narrows the candidates by ``holds`` at each
-  unblocked one and fails when none is left. A subsumed child counts as a
-  node and is not entered.
+  set is its parent's, just found uncovered. The found subsets are numbered
+  by the order they were found, and ``holds[p]`` holds the ids of those that
+  hold scan position p. Each node carries the ids of the found subsets that
+  contain its chosen edges; an include child narrows them by ``holds`` of
+  its edge, and its parent adds back every subset found below it, all of
+  which contain the parent's chosen edges. The exclude child at position j
+  is subsumed when one of its subsets holds every position from j on that
+  is not blocked. Host edge xy is blocked when a chosen edge has both ends
+  absent to x and to y: absent pairs and chosen edges only accumulate along
+  a branch, so the first ground refuses xy at every node below, and every
+  leaf below is a proper subset of that found subset. The test walks the
+  later positions, tests only those that some remaining candidate misses,
+  narrows the candidates by ``holds`` at each unblocked one and fails when
+  none is left. A subsumed child counts as a node and is not entered.
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
@@ -104,7 +101,7 @@ from .graphs import (
     induced_subgraph,
     subgraph_distance,
 )
-from .intervals import _interval_layout, _is_interval_masks
+from .intervals import _interval_layout, _is_interval_masks, _maximal_cliques_masks
 
 #: Default cap on complement edge count for the exact engine
 #: (CLI flag ``--max-complement-edges``).
@@ -247,10 +244,7 @@ def _maximal_cointerval_masks(
         absent[b] ^= 1 << a
 
     found: list[int] = []  # maximal masks; a mask's id is its index here
-    # holds[p]: ids of the found masks that hold position p; tail[j]: ids of
-    # the found masks that hold every position from j on.
-    holds = [0] * m
-    tail = [0] * (m + 1)
+    holds = [0] * m  # holds[p]: ids of the found masks that hold position p
     crow = [0] * n  # crow[v]: chosen neighbours of v on the current branch
     # Implication classes as a parity union-find over the orientation bits of
     # the host edges: bit 0 orients uv with u < v from u to v. No path
@@ -335,9 +329,6 @@ def _maximal_cointerval_masks(
             found.append(chosen)
             for p in _bit_list(chosen):
                 holds[p] |= bit
-            # The top run of ones in chosen starts at the highest zero + 1.
-            for j in range((full & ~chosen).bit_length(), m + 1):
-                tail[j] |= bit
             return
         a, b = internal[idx]
         mark = len(log)
@@ -391,8 +382,8 @@ def _maximal_cointerval_masks(
             else:
                 # A found mask that holds chosen and every later position a
                 # leaf below could hold leaves the exclude child nothing new:
-                # one node, no descent.
-                if cand & tail[idx + 1] or cand and subsumed(idx + 1, cand):
+                # one node, no descent. ``subsumed`` holds on an empty cand.
+                if cand and subsumed(idx + 1, cand):
                     nodes += 1
                 else:
                     rec(idx + 1, chosen, cand)
@@ -646,7 +637,10 @@ def matching_bound_detail(g: Graph) -> tuple[int, str]:
             compat[i] |= 1 << j
             compat[j] |= 1 << i
     if g.n <= MATCHING_EXACT_MAX_N:
-        best = _max_clique(compat)
+        # A graph on k vertices has at most 3^(k/3) maximal cliques (Moon &
+        # Moser 1965), below this limit, so the enumeration never stops short.
+        cliques = _maximal_cliques_masks(compat, (1 << k) - 1, 3 ** (k // 3 + 1))
+        best = max(c.bit_count() for c in cliques)
         return (best + 1) // 2, "exact"
     chosen = 0
     count = 0
@@ -655,41 +649,6 @@ def matching_bound_detail(g: Graph) -> tuple[int, str]:
             chosen |= 1 << i
             count += 1
     return (count + 1) // 2, "heuristic"
-
-
-def _max_clique(adj: list[int]) -> int:
-    """Maximum clique size by branch and bound with a greedy coloring bound."""
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if not cand:
-            return
-        # Greedy coloring of the candidates; a clique needs distinct colors,
-        # so size + color is an upper bound for branches at that vertex.
-        ordered: list[tuple[int, int]] = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                ordered.append((v, color))
-                avail &= ~adj[v]
-                avail ^= low
-                rest ^= low
-        for v, color in reversed(ordered):
-            if size + color <= best:
-                return
-            expand(cand & adj[v], size + 1)
-            cand &= ~(1 << v)
-
-    expand((1 << len(adj)) - 1, 0)
-    return best
 
 
 def pair_lower_bound(g: Graph, h1: Iterable[int], h2: Iterable[int]) -> int:
@@ -708,11 +667,8 @@ def pair_lower_bound(g: Graph, h1: Iterable[int], h2: Iterable[int]) -> int:
         raise ValueError(
             f"complement distance between the sets is {d}, need at least 2"
         )
-    total = 0
-    for s in (s1, s2):
-        sub = induced_subgraph(comp, s)
-        total += exact_boxicity(complement(sub)).value
-    return total
+    # Complementing commutes with taking an induced subgraph.
+    return sum(exact_boxicity(induced_subgraph(g, s)).value for s in (s1, s2))
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,15 @@ class TestBoundsReport:
             hi = min(v for v, _ in report.upper)
             assert lo <= report.exact <= hi
 
+    def test_over_chromatic_cap_drops_only_thm11(self):
+        # K17 is over the chromatic-number cap, so Thm 1.1 is left out at
+        # r = 2 as it is at r = 3; K16 is at the cap and keeps it.
+        report = compute_bounds_report(complete_graph(17))
+        assert report.lower == ((9, "cor3.6"), (9, "lemma3.3"))
+        assert report.upper == ((9, "thm4.2"), (17, "roberts-floor-n/2"))
+        report = compute_bounds_report(complete_graph(16))
+        assert report.upper == ((9, "thm4.2"), (16, "roberts-floor-n/2"), (16, "thm1.1"))
+
     def test_crossed_bounds_raise(self):
         with pytest.raises(SelfCheckError):
             BoundsReport("stub", ((3, "a"),), ((2, "b"),), None)

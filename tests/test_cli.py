@@ -140,6 +140,20 @@ class TestBoundsCommand:
         assert uppers["thm4.2"] == 3
         assert fields[3] == ""
 
+    def test_over_chromatic_cap_leaves_out_thm11(self, capsys):
+        g6 = graph6_encode(complete_graph(17))
+        code, out, _ = run_cli(["bounds", g6], capsys)
+        assert code == 0
+        row = out.strip().splitlines()[1]
+        assert row == f"{g6},9:cor3.6;9:lemma3.3,9:thm4.2;17:roberts-floor-n/2,"
+        g6 = graph6_encode(complete_graph(16))
+        code, out, _ = run_cli(["bounds", g6], capsys)
+        assert code == 0
+        row = out.strip().splitlines()[1]
+        assert row == (
+            f"{g6},8:cor3.6;8:lemma3.3,9:thm4.2;16:roberts-floor-n/2;16:thm1.1,"
+        )
+
     def test_exact_flag(self, capsys):
         code, out, _ = run_cli(["bounds", "A_", "--exact"], capsys)
         assert code == 0

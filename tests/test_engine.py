@@ -158,10 +158,11 @@ class TestMaximalFamily:
         # On the path 0-1-...-5 the scan decides 01, 45, 12, 23, 34 in that
         # order and first finds {01, 12, 23}. Below chosen {01, 12} with 45
         # out, deciding 23 out leaves only 34 later; no found set holds 34,
-        # so the tail test fails, but 01 has all four cross pairs to 34
-        # absent, so 34 is blocked and the found set covers the rest. The
-        # same holds below chosen {01} with 45 and 12 out. Together the two
-        # cuts save three nodes; without them the scan reads 24.
+        # so no found set holds every later position, but 01 has all four
+        # cross pairs to 34 absent, so 34 is blocked and the found set
+        # covers the rest. The same holds below chosen {01} with 45 and 12
+        # out. Together the two cuts save three nodes; without them the scan
+        # reads 24.
         host = path_graph(6)
         assert engine._maximal_cointerval_masks(host.n, host.edges()) == ([7, 28, 14], 21)
         assert [p.edges() for p in maximal_cointerval_family(host)] == [
@@ -553,6 +554,39 @@ class TestMatchingLowerBound:
         for n in range(1, 6):
             for g in graphs_by_n[n]:
                 assert matching_lower_bound(g) <= exact_boxicity(g).value
+
+    def test_exact_path_matches_definition(self, graphs_by_n):
+        # Oracle from the definition: the largest k with ordered vertex
+        # sequences a_1..a_k and b_1..b_k, all distinct, whose complement
+        # cross pairs are exactly the pairs a_i b_i; the bound is ceil(k/2).
+        def largest_k(g):
+            co = complement(g)
+            best = 0
+
+            def extend(pairs, used):
+                nonlocal best
+                best = max(best, len(pairs))
+                for a, b in itertools.permutations(range(g.n), 2):
+                    if used >> a & 1 or used >> b & 1 or not co.has_edge(a, b):
+                        continue
+                    if all(
+                        not co.has_edge(a, y) and not co.has_edge(x, b)
+                        for x, y in pairs
+                    ):
+                        extend(pairs + [(a, b)], used | 1 << a | 1 << b)
+
+            extend([], 0)
+            return best
+
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                assert matching_bound_detail(g) == ((largest_k(g) + 1) // 2, "exact")
+
+    def test_exact_path_on_many_maximal_cliques(self):
+        # The complement K5+K5+K4 is 14 vertices, the largest exact case, and
+        # its compatibility graph has 4,800 maximal cliques.
+        g = complete_multipartite([5, 5, 4])
+        assert matching_bound_detail(g) == (2, "exact")
 
     def test_exactness_marker(self):
         value, how = matching_bound_detail(cycle_graph(4))
