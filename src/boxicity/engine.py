@@ -638,7 +638,7 @@ def matching_bound_detail(g: Graph) -> tuple[int, str]:
             compat[j] |= 1 << i
     if g.n <= MATCHING_EXACT_MAX_N:
         # A graph on k vertices has at most 3^(k/3) maximal cliques (Moon &
-        # Moser 1965), below this limit, so the enumeration never stops short.
+        # Moser 1965), below this limit, so the search never returns None.
         cliques = _maximal_cliques_masks(compat, (1 << k) - 1, 3 ** (k // 3 + 1))
         best = max(c.bit_count() for c in cliques)
         return (best + 1) // 2, "exact"
