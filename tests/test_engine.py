@@ -233,6 +233,22 @@ class TestMaximalFamily:
             "fa7b4c5330f7557d19b4f0dcfb5a5da839b3455dc389a8ebc5cdac033bffa74a"
         )
 
+    def test_family_digest_pinned(self, graphs_by_n):
+        # The sorted family, the scan's answer as the cover search reads it,
+        # on the complement of every graph with up to 7 vertices and on the
+        # large hosts. Unlike the raw digests above it does not depend on the
+        # order the scan decides edges in, so a new order must keep it.
+        digest = hashlib.sha256()
+        hosts = [complement(g) for n in range(1, 8) for g in graphs_by_n[n]]
+        for host in hosts + _large_hosts():
+            family, _ = engine._maximal_cointerval_family_masks(
+                host.n, host.edges(), engine.DEFAULT_COMPLEMENT_EDGE_CAP
+            )
+            digest.update(f"{family}\n".encode())
+        assert digest.hexdigest() == (
+            "9e606a2b71dad012af266dc0a44ef71bb21673affdc59bdd1a92a6aba97fd0cd"
+        )
+
     def test_matches_brute_oracle_random_hosts(self):
         rng = random.Random(5)
         for _ in range(10):

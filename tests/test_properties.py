@@ -71,6 +71,34 @@ def test_scan_matches_brute_family_five_to_seven_vertices(host):
     assert sorted(fast) == brute_maximal_family(host)
 
 
+@st.composite
+def relabelled_hosts(draw):
+    """A host on up to 8 vertices with up to 14 edges, up to 3 of its
+    vertices left isolated, and a permutation of its vertices."""
+    n = draw(st.integers(1, 8))
+    live = n - draw(st.integers(0, min(3, n - 1)))
+    pairs = list(itertools.combinations(range(live), 2))
+    edges = []
+    if pairs:
+        size = min(14, len(pairs))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=size, unique=True))
+    return Graph.from_edges(n, edges), draw(st.permutations(range(n)))
+
+
+@settings(FIXED, max_examples=100)
+@given(relabelled_hosts())
+def test_scan_family_invariant_under_relabelling(case):
+    # Relabelling moves the degree ties, and so the order the scan decides
+    # edges in; the family must only move with the labels.
+    host, perm = case
+    moved = Graph.from_edges(host.n, [(perm[u], perm[v]) for u, v in host.edges()])
+    mapped = [
+        sorted(tuple(sorted((perm[u], perm[v]))) for u, v in part.edges())
+        for part in maximal_cointerval_family(host)
+    ]
+    assert sorted(mapped) == [part.edges() for part in maximal_cointerval_family(moved)]
+
+
 def union(masks):
     out = 0
     for mask in masks:
