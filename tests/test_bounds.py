@@ -314,6 +314,20 @@ class TestBoundsReport:
         report = compute_bounds_report(complete_graph(16))
         assert report.upper == ((9, "thm4.2"), (16, "roberts-floor-n/2"), (16, "thm1.1"))
 
+    def test_over_engine_cap_drops_only_cor36(self):
+        # The complement of P9 has 28 edges, over the engine cap. Cor 3.6
+        # needs the exact boxicity of P9 and is left out; the other bounds
+        # need no engine run.
+        report = compute_bounds_report(path_graph(9))
+        assert report.lower == ((1, "lemma3.3"),)
+        assert report.upper == ((6, "thm4.2"), (9, "roberts-floor-n/2"), (7, "thm1.1"))
+        # The cap is the caller's: the complement of C5 has 5 edges.
+        for cap, tags in ((5, ["cor3.6", "lemma3.3"]), (4, ["lemma3.3"])):
+            report = compute_bounds_report(cycle_graph(5), max_complement_edges=cap)
+            assert [tag for _, tag in report.lower] == tags
+        with pytest.raises(CapacityError):
+            compute_bounds_report(path_graph(9), include_exact=True)
+
     def test_crossed_bounds_raise(self):
         with pytest.raises(SelfCheckError):
             BoundsReport("stub", ((3, "a"),), ((2, "b"),), None)

@@ -154,6 +154,20 @@ class TestBoundsCommand:
             f"{g6},8:cor3.6;8:lemma3.3,9:thm4.2;16:roberts-floor-n/2;16:thm1.1,"
         )
 
+    def test_over_engine_cap_leaves_out_cor36(self, capsys):
+        header = "graph6,lower,upper,exact\n"
+        code, out, _ = run_cli(["bounds", "HhCGGC@"], capsys)  # P9
+        assert code == 0
+        assert out == header + "HhCGGC@,1:lemma3.3,6:thm4.2;9:roberts-floor-n/2;7:thm1.1,\n"
+        # Under the cap the row keeps Cor 3.6, byte for byte as before.
+        code, out, _ = run_cli(["bounds", "Dhc"], capsys)  # C5
+        assert code == 0
+        assert out == header + "Dhc,2:cor3.6;2:lemma3.3,5:thm4.2;5:roberts-floor-n/2;5:thm1.1,\n"
+        # --exact still runs the engine on M(P9) and names its cap.
+        code, out, err = run_cli(["bounds", "HhCGGC@", "--exact"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("capacity error: host has 138 edges, over the cap 24")
+
     def test_exact_flag(self, capsys):
         code, out, _ = run_cli(["bounds", "A_", "--exact"], capsys)
         assert code == 0
