@@ -240,9 +240,8 @@ def _maximal_cointerval_masks(
     """
     m = len(edges)
     full = (1 << m) - 1
-    # Edges are decided vertex by vertex (see the module docstring): rank[v]
-    # is v's place. Next comes the unplaced vertex with the fewest host edges
-    # to unplaced vertices; ties go to lower host degree, then lower index.
+    # Edges are decided vertex by vertex (see the module docstring); rank[v]
+    # is v's place in the vertex order.
     row = [0] * n
     for a, b in edges:
         row[a] |= 1 << b
