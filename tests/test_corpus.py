@@ -23,6 +23,18 @@ def test_corpus_digest_pinned(graphs_by_n):
     )
 
 
+def test_eight_vertex_corpus_pinned():
+    # One size past the session corpora: 12,346 classes and 11,117 connected
+    # ones (OEIS A000088, A001349), and every representative's labels.
+    graphs = corpus.all_graphs(8)
+    assert len(graphs) == 12346
+    assert len(connected_graphs(8)) == 11117
+    text = "".join(graph6_encode(g) + "\n" for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "69fda48ed5c789b5945500540fd14b642a77c93379eff11f05401a5ed26b601c"
+    )
+
+
 def test_one_invariant_per_candidate(monkeypatch):
     calls = []
     invariant = corpus._invariant

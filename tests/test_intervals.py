@@ -15,6 +15,7 @@ from boxicity.generators import (
 )
 from boxicity.graphs import Graph, complement, disjoint_union, induced_subgraph
 from boxicity.intervals import (
+    _has_asteroidal_triple,
     _is_interval_masks,
     _rejection,
     chordal_at_free_oracle,
@@ -46,6 +47,38 @@ def caterpillar(spine, leaves):
     for i in range(spine):
         edges += [(i, spine + i * leaves + j) for j in range(leaves)]
     return Graph.from_edges(spine * (leaves + 1), edges)
+
+
+def brute_has_asteroidal_triple(g):
+    """The asteroidal-triple definition, one breadth-first search per pair of
+    a triple: three pairwise non-adjacent vertices, each pair joined by a path
+    that avoids the third vertex's closed neighbourhood."""
+
+    def joined(src, dst, avoid):
+        if (avoid >> src | avoid >> dst) & 1:
+            return False
+        seen = frontier = 1 << src
+        while frontier:
+            nxt = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    nxt |= g.adj[v]
+            frontier = nxt & ~seen & ~avoid
+            if frontier >> dst & 1:
+                return True
+            seen |= frontier
+        return False
+
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if (g.adj[a] >> b | g.adj[a] >> c | g.adj[b] >> c) & 1:
+            continue
+        if (
+            joined(a, b, g.adj[c] | 1 << c)
+            and joined(a, c, g.adj[b] | 1 << b)
+            and joined(b, c, g.adj[a] | 1 << a)
+        ):
+            return True
+    return False
 
 
 def reconstruct(rep, n):
@@ -198,6 +231,28 @@ class TestOracle:
         )
         assert not chordal_at_free_oracle(net)
         assert not is_interval(net).interval
+
+    def test_asteroidal_triples_match_definition_small(self, graphs_by_n):
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                assert _has_asteroidal_triple(g) == brute_has_asteroidal_triple(g)
+
+    def test_asteroidal_triples_match_definition_on_trees(self):
+        # Spiders with three legs of length at least 2 and caterpillars with a
+        # lengthened leaf have an asteroidal triple; caterpillars have none.
+        trees = [spider(legs) for legs in itertools.combinations_with_replacement(
+            (1, 2, 3, 5, 9), 3)]
+        trees += [spider([2, 2, 2, 2]), spider([7, 7, 7, 7]), spider([1] * 29)]
+        for spine, leaves in ((1, 0), (2, 1), (5, 1), (14, 1), (15, 1), (9, 2), (7, 3)):
+            g = caterpillar(spine, leaves)
+            trees.append(g)
+            if spine >= 3 and g.n < 30:
+                # Lengthen the first leaf of spine vertex 1 by one edge.
+                trees.append(Graph.from_edges(
+                    g.n + 1, g.edges() + [(spine + leaves, g.n)]))
+        assert max(g.n for g in trees) == 30
+        for g in trees:
+            assert _has_asteroidal_triple(g) == brute_has_asteroidal_triple(g)
 
     def test_matches_recognizer_small(self, graphs_by_n):
         for n in range(1, 8):

@@ -1,8 +1,9 @@
 """Property tests: the subset scan against the brute-force family, the
 minimum cover search against a brute-force minimum, the graph6 and
 certificate text formats against their parsers, the graph symmetry check
-against single-bit flips, and the support-reduced cointerval decision against
-the full-width one."""
+against single-bit flips, the support-reduced cointerval decision against
+the full-width one, and the oracle's asteroidal-triple test against its
+definition."""
 
 import itertools
 
@@ -20,9 +21,10 @@ from boxicity.engine import (
     parse_cover,
 )
 from boxicity.graphs import Graph, graph6_decode, graph6_encode
-from boxicity.intervals import _is_interval_masks
+from boxicity.intervals import _has_asteroidal_triple, _is_interval_masks
 
 from test_engine import brute_maximal_family
+from test_intervals import brute_has_asteroidal_triple
 
 # Fixed examples, no timing gate, no example database: every run draws the
 # same graphs, and a failure is not replayed from an earlier run.
@@ -197,3 +199,9 @@ def test_support_decision_matches_host_width(rows):
     full = (1 << n) - 1
     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
     assert _is_cointerval(rows) == _is_interval_masks(n, co)
+
+
+@settings(FIXED, max_examples=300)
+@given(graphs(max_n=12))
+def test_asteroidal_triple_matches_definition(g):
+    assert _has_asteroidal_triple(g) == brute_has_asteroidal_triple(g)
