@@ -2,14 +2,17 @@
 
 Test support at desk scale, not a feature: one representative per isomorphism
 class, generated by extending the (n-1)-vertex corpus with every possible new
-neighborhood. Each candidate is built as a tuple of neighbour rows and gets
-one invariant: per vertex the triple (degree, triangles at the vertex, the
-multiset of neighbour degrees packed into one int). The sorted triples are
-the bucket key, and a backtracking search, which maps a vertex only to a
-vertex with the same triple, compares the candidate with the bucket's
-members. The first candidate of a class in generation order (parents in
-corpus order, new neighborhoods by increasing bitmask) is its representative,
-so the corpus and its labels do not depend on the invariant. Only
+neighborhood. Within one parent, a new neighborhood that leaves out a lower
+twin of a vertex it holds is skipped: a twin swap turns it into a smaller
+neighborhood of the same parent. Each surviving candidate is built as a tuple
+of neighbour rows and gets one invariant, updated from its parent's: per
+vertex the triple (degree, triangles at the vertex, the multiset of neighbour
+degrees packed into one int). The sorted triples are the bucket key, and a
+backtracking search from each bucket member, which maps a vertex only to a
+vertex with the same triple, compares it with the candidate. The first
+candidate of a class in generation order (parents in corpus order, new
+neighborhoods by increasing bitmask) is its representative, so the corpus and
+its labels do not depend on the invariant or on the skip. Only
 representatives become ``Graph`` values. Intended for n up to about 8.
 """
 
@@ -112,6 +115,51 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return _maps_onto(_search_order(g.adj, tg), tg, g.adj, h.adj, _classes(th))
 
 
+def _twin_masks(adj: tuple[int, ...]) -> list[int]:
+    """New-neighbourhood masks for the children of one parent, in increasing
+    order, that hold in every class of twins of the parent the class's
+    lowest-indexed members. Twins have the same neighbours apart from each
+    other; a vertex cannot have both a true and a false twin, so the classes
+    partition the vertices. A skipped mask becomes a smaller kept one by twin
+    swaps, which are automorphisms of the parent."""
+    masks = [0]
+    done = 0
+    for v, row in enumerate(adj):
+        if done >> v & 1:
+            continue
+        prefixes = [0, 1 << v]
+        for u in range(v + 1, len(adj)):
+            if adj[u] & ~(1 << v) == row & ~(1 << u):
+                prefixes.append(prefixes[-1] | 1 << u)
+        done |= prefixes[-1]
+        masks = [m | p for m in masks for p in prefixes]
+    masks.sort()
+    return masks
+
+
+def _child_invariant(
+    b: int, base: list[Triple], weight: list[int], adj: tuple[int, ...], mask: int
+) -> list[Triple]:
+    """``_invariant`` of the child that joins a new last vertex to ``mask``,
+    from the parent's rows ``adj`` and triples ``base`` (in base-2**b digits of
+    the child's n). ``weight[s]`` is the packed degree multiset of the parent
+    vertex set ``s``; a neighbour in ``mask`` moves up one digit."""
+    step = (1 << b) - 1
+    top = 1 << b * mask.bit_count()
+    triples = []
+    edges = 0
+    for v, (deg, tri, nbr) in enumerate(base):
+        common = adj[v] & mask
+        if mask >> v & 1:
+            shared = common.bit_count()
+            edges += shared
+            triples.append((deg + 1, tri + shared, nbr + step * weight[common] + top))
+        else:
+            triples.append((deg, tri, nbr + step * weight[common]))
+    triples.append((mask.bit_count(), edges >> 1, weight[mask] << b))
+    return triples
+
+
 _cache: dict[int, list[Graph]] = {}
 
 
@@ -125,24 +173,32 @@ def all_graphs(n: int) -> list[Graph]:
             _cache[n] = [Graph(1, (0,))]
         else:
             result: list[Graph] = []
-            # sorted triples -> (rows, triple classes) of each representative
-            buckets: dict[tuple[Triple, ...], list[tuple[tuple[int, ...], dict]]] = {}
+            # sorted triples -> (rows, triples, search order) of each representative
+            buckets: dict[
+                tuple[Triple, ...], list[tuple[tuple[int, ...], list[Triple], list[int]]]
+            ] = {}
             new = n - 1
+            b = n.bit_length()
             for parent in all_graphs(n - 1):
-                for mask in range(1 << new):
+                adj = parent.adj
+                base = _invariant(n, adj)  # the parent's triples, in the child's digits
+                weight = [0]
+                for deg, _, _ in base:
+                    weight += [w + (1 << b * deg) for w in weight]
+                for mask in _twin_masks(adj):
                     rows = tuple(
-                        row | (mask >> v & 1) << new for v, row in enumerate(parent.adj)
+                        row | (mask >> v & 1) << new for v, row in enumerate(adj)
                     ) + (mask,)
-                    triples = _invariant(n, rows)
+                    triples = _child_invariant(b, base, weight, adj, mask)
                     bucket = buckets.setdefault(tuple(sorted(triples)), [])
                     if bucket:
-                        order = _search_order(rows, triples)
+                        classes = _classes(triples)
                         if any(
-                            _maps_onto(order, triples, rows, rep, classes)
-                            for rep, classes in bucket
+                            _maps_onto(order, rep_triples, rep, rows, classes)
+                            for rep, rep_triples, order in bucket
                         ):
                             continue
-                    bucket.append((rows, _classes(triples)))
+                    bucket.append((rows, triples, _search_order(rows, triples)))
                     result.append(Graph(n, rows))
             _cache[n] = result
     return list(_cache[n])

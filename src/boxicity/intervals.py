@@ -16,9 +16,10 @@ vertices (an interval graph is chordal, so it has at most n, Fulkerson &
 Gross 1965), contradicts the decision and raises ``SelfCheckError``.
 
 ``chordal_at_free_oracle`` is a deliberately independent second implementation
-(perfect elimination ordering + brute-force asteroidal-triple search) used to
-cross-check the recognizer in tests; it shares no code with the decision or
-the clique route.
+(perfect elimination ordering, then an asteroidal-triple test that labels the
+components left by each vertex's closed neighbourhood once and looks triples
+up in those labels) used to cross-check the recognizer in tests; it shares no
+code with the decision or the clique route.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ def is_cointerval(g: Graph) -> bool:
 
 def chordal_at_free_oracle(g: Graph) -> bool:
     """Independent recognizer: chordal (via maximum-cardinality search) and
-    free of asteroidal triples (brute force over vertex triples)."""
+    free of asteroidal triples (every vertex triple, checked against per-vertex
+    component labels)."""
     return _is_chordal(g) and not _has_asteroidal_triple(g)
 
 
@@ -314,36 +316,37 @@ def _is_chordal(g: Graph) -> bool:
     return True
 
 
-def _reachable_avoiding(g: Graph, src: int, dst: int, avoid: int) -> bool:
-    if (avoid >> src & 1) or (avoid >> dst & 1):
-        return False
-    seen = 1 << src
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in _bit_list(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen & ~avoid
-        if nxt >> dst & 1:
-            return True
-        seen |= nxt
-        frontier = nxt
-    return False
-
-
 def _has_asteroidal_triple(g: Graph) -> bool:
+    """Three pairwise non-adjacent vertices, each pair joined by a path that
+    avoids the third's closed neighbourhood. One sweep per vertex c labels the
+    components of g minus N[c]; each triple is then three bit lookups."""
     n = g.n
+    # comp[c][v]: the component of g - N[c] that holds v (0 when v is in N[c])
+    comp = []
+    for c in range(n):
+        label = [0] * n
+        rest = (1 << n) - 1 & ~(g.adj[c] | 1 << c)
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                nxt = 0
+                for v in _bit_list(frontier):
+                    nxt |= g.adj[v]
+                frontier = nxt & rest & ~seen
+                seen |= frontier
+            rest &= ~seen
+            for v in _bit_list(seen):
+                label[v] = seen
+        comp.append(label)
     for a in range(n):
         for b in range(a + 1, n):
-            if g.adj[a] >> b & 1:
+            if not comp[a][b]:  # b is in N[a]
                 continue
             for c in range(b + 1, n):
-                if (g.adj[a] >> c | g.adj[b] >> c) & 1:
-                    continue
                 if (
-                    _reachable_avoiding(g, a, b, g.adj[c] | 1 << c)
-                    and _reachable_avoiding(g, a, c, g.adj[b] | 1 << b)
-                    and _reachable_avoiding(g, b, c, g.adj[a] | 1 << a)
+                    comp[c][a] >> b & 1
+                    and comp[b][a] >> c & 1
+                    and comp[a][b] >> c & 1
                 ):
                     return True
     return False

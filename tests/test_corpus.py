@@ -37,15 +37,47 @@ def test_eight_vertex_corpus_pinned():
 
 def test_one_invariant_per_candidate(monkeypatch):
     calls = []
-    invariant = corpus._invariant
+    child_invariant = corpus._child_invariant
     monkeypatch.setattr(corpus, "_cache", {})
     monkeypatch.setattr(
-        corpus, "_invariant", lambda n, adj: calls.append(n) or invariant(n, adj)
+        corpus, "_child_invariant", lambda *args: calls.append(args) or child_invariant(*args)
     )
     corpus.all_graphs(6)
-    # Candidates on n vertices: each (n-1)-vertex class times 2**(n-1) new rows.
-    counts = [1, 2, 4, 11, 34]
-    assert len(calls) == sum(c << k for k, c in enumerate(counts, start=1))
+    # Candidates on n vertices that survive the twin skip, for n = 2..6.
+    assert len(calls) == 2 + 6 + 20 + 102 + 652
+
+
+def child(parent, mask):
+    """The candidate that joins a new last vertex of ``parent`` to ``mask``."""
+    new = parent.n
+    rows = tuple(row | (mask >> v & 1) << new for v, row in enumerate(parent.adj))
+    return Graph(new + 1, rows + (mask,))
+
+
+def test_twin_skip_drops_only_repeats(graphs_by_n):
+    # A skipped mask gives a graph isomorphic to a smaller mask of its parent,
+    # so it is never the first candidate of its class.
+    for n in range(2, 7):
+        for parent in graphs_by_n[n - 1]:
+            kept = corpus._twin_masks(parent.adj)
+            assert kept == sorted(set(kept)) and kept[0] == 0
+            for mask in set(range(1 << parent.n)) - set(kept):
+                g = child(parent, mask)
+                assert any(are_isomorphic(g, child(parent, m)) for m in range(mask))
+
+
+def test_child_invariant_matches_invariant(graphs_by_n):
+    for n in range(2, 8):
+        b = n.bit_length()
+        for parent in graphs_by_n[n - 1]:
+            base = corpus._invariant(n, parent.adj)
+            weight = [sum(1 << b * base[v][0] for v in range(parent.n) if s >> v & 1)
+                      for s in range(1 << parent.n)]
+            for mask in corpus._twin_masks(parent.adj):
+                g = child(parent, mask)
+                assert corpus._child_invariant(b, base, weight, parent.adj, mask) == (
+                    corpus._invariant(n, g.adj)
+                )
 
 
 def test_corpus_members_pairwise_nonisomorphic(graphs_by_n):
