@@ -21,6 +21,7 @@ from boxicity.intervals import _is_interval_masks, is_cointerval
 from boxicity.engine import (
     BoxRep,
     CointervalCover,
+    Verdict,
     cover_to_box_representation,
     exact_boxicity,
     format_cover,
@@ -48,6 +49,32 @@ def brute_cointerval_subsets(host):
             Graph.from_edges(host.n, (edges[p] for p in range(m) if mask >> p & 1))
         )
     ]
+
+
+def brute_verify_box_representation(g, rep):
+    """Oracle: the pairwise box check, every vertex pair compared coordinate
+    by coordinate, after the same malformed-box checks and messages as
+    ``verify_box_representation``."""
+    if len(rep.boxes) != g.n:
+        return Verdict(False, f"{len(rep.boxes)} boxes for {g.n} vertices")
+    for v, box in enumerate(rep.boxes):
+        if len(box) != rep.dimension:
+            return Verdict(False, f"box of vertex {v} has wrong dimension")
+        for lo, hi in box:
+            if lo > hi:
+                return Verdict(False, f"vertex {v} has an empty interval")
+    if rep.dimension == 0 and complement(g).num_edges() > 0:
+        return Verdict(False, "dimension 0 can only represent a complete graph")
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            meets = all(
+                max(alo, blo) <= min(ahi, bhi)
+                for (alo, ahi), (blo, bhi) in zip(rep.boxes[u], rep.boxes[v])
+            )
+            if meets != g.has_edge(u, v):
+                want = "adjacent" if g.has_edge(u, v) else "non-adjacent"
+                return Verdict(False, f"boxes of {u} and {v} disagree with {want} pair")
+    return Verdict(True)
 
 
 def brute_maximal_family(host):
@@ -543,6 +570,32 @@ class TestBoxRepresentation:
         rep = BoxRep(1, (((0, 1),), ((2, 3),), ((1, 2),)))
         verdict = verify_box_representation(path_graph(3), rep)
         assert not verdict.ok and "0 and 1" in verdict.reason
+
+    def test_matches_pairwise_oracle_on_corpus_and_mutations(self, graphs_by_n):
+        # The engine's boxes and every single-endpoint +-1 move of them, on
+        # every graph with up to 6 vertices: same verdict, same message.
+        count = rejected = 0
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                rep = exact_boxicity(g).box_rep
+                reps = [rep]
+                for v in range(n):
+                    for j in range(rep.dimension):
+                        for end in (0, 1):
+                            for delta in (-1, 1):
+                                box = list(rep.boxes[v])
+                                ends = list(box[j])
+                                ends[end] += delta
+                                box[j] = tuple(ends)
+                                boxes = list(rep.boxes)
+                                boxes[v] = tuple(box)
+                                reps.append(BoxRep(rep.dimension, tuple(boxes)))
+                for r in reps:
+                    verdict = verify_box_representation(g, r)
+                    assert verdict == brute_verify_box_representation(g, r)
+                    count += 1
+                    rejected += not verdict.ok
+        assert (count, rejected) == (6592, 4098)
 
     def test_rejects_unverified_cover(self):
         g = cycle_graph(4)

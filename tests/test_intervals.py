@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,7 +14,13 @@ from boxicity.generators import (
     mycielski,
     path_graph,
 )
-from boxicity.graphs import Graph, complement, disjoint_union, induced_subgraph
+from boxicity.graphs import (
+    Graph,
+    complement,
+    disjoint_union,
+    graph6_encode,
+    induced_subgraph,
+)
 from boxicity.intervals import (
     _has_asteroidal_triple,
     _is_interval_masks,
@@ -314,6 +321,19 @@ class TestDecision:
                     for quad in itertools.combinations(range(n), 4)
                 )
                 assert (_rejection(g.n, g.adj) == "induced 4-cycle") == has_c4
+
+    def test_reasons_digest_pinned(self, graphs_by_n):
+        # Every graph with up to 7 vertices: the decision's reason, or None.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                digest.update(f"{graph6_encode(g)}|{_rejection(g.n, g.adj)}\n".encode())
+                count += 1
+        assert count == 1252
+        assert digest.hexdigest() == (
+            "b1e5341d2dbc9334e6b2b4c474fc5b4f360b4f6f3cd29b9a1ceafc1d19c7dab5"
+        )
 
     def test_balanced_spider_61(self):
         # Legs of 20: the three leg ends form an asteroidal triple. Deciding

@@ -2,8 +2,8 @@
 minimum cover search against a brute-force minimum, the graph6 and
 certificate text formats against their parsers, the graph symmetry check
 against single-bit flips, the support-reduced cointerval decision against
-the full-width one, and the oracle's asteroidal-triple test against its
-definition."""
+the full-width one, the box verifier against the pairwise check, and the
+oracle's asteroidal-triple test against its definition."""
 
 import itertools
 
@@ -13,17 +13,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from boxicity.engine import (
+    BoxRep,
     _is_cointerval,
     _minimum_cover,
     exact_boxicity,
     format_cover,
     maximal_cointerval_family,
     parse_cover,
+    verify_box_representation,
 )
 from boxicity.graphs import Graph, graph6_decode, graph6_encode
 from boxicity.intervals import _has_asteroidal_triple, _is_interval_masks
 
-from test_engine import brute_maximal_family
+from test_engine import brute_maximal_family, brute_verify_box_representation
 from test_intervals import brute_has_asteroidal_triple
 
 # Fixed examples, no timing gate, no example database: every run draws the
@@ -199,6 +201,45 @@ def test_support_decision_matches_host_width(rows):
     full = (1 << n) - 1
     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
     assert _is_cointerval(rows) == _is_interval_masks(n, co)
+
+
+@st.composite
+def box_cases(draw):
+    """Boxes on up to 9 vertices in up to 3 coordinates with endpoints in
+    0..10, sometimes with one flaw (a box too many, a box with a coordinate
+    missing, an empty interval); and a graph that is the boxes' intersection
+    graph with up to two vertex pairs flipped."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(0, 3))
+    interval = st.tuples(st.integers(0, 6), st.integers(0, 4)).map(
+        lambda t: (t[0], t[0] + t[1])
+    )
+    boxes = [tuple(draw(st.lists(interval, min_size=dim, max_size=dim))) for _ in range(n)]
+    flaw = draw(st.sampled_from(["none"] * 7 + ["extra box", "short box", "empty"]))
+    v = draw(st.integers(0, n - 1))
+    if flaw == "extra box":
+        boxes.append(boxes[v])
+    elif flaw == "short box" and dim:
+        boxes[v] = boxes[v][1:]
+    elif flaw == "empty" and dim:
+        lo, _ = boxes[v][-1]
+        boxes[v] = boxes[v][:-1] + ((lo, lo - 1),)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {
+        (u, w)
+        for u, w in pairs
+        if all(max(a[0], b[0]) <= min(a[1], b[1]) for a, b in zip(boxes[u], boxes[w]))
+    }
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)))
+    return Graph.from_edges(n, sorted(edges)), BoxRep(dim, tuple(boxes))
+
+
+@settings(FIXED, max_examples=500)
+@given(box_cases())
+def test_box_verifier_matches_pairwise_check(case):
+    g, rep = case
+    assert verify_box_representation(g, rep) == brute_verify_box_representation(g, rep)
 
 
 @settings(FIXED, max_examples=300)
