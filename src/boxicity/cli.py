@@ -114,7 +114,11 @@ def _cmd_verify_cover(args: argparse.Namespace) -> int:
     g = graph6_decode(args.graph6)
     with open(args.certificate) as fh:
         cover = parse_cover(fh.read())
-    verdict = verify_cointerval_cover(g, cover)
+    try:
+        verdict = verify_cointerval_cover(g, cover)
+    except ValueError as exc:  # a certificate for another graph
+        print(f"reject {exc}")
+        return 1
     if verdict:
         print("accept")
         return 0

@@ -83,15 +83,22 @@ cover that round finds, the certificate, is the first minimum cover in that
 order. An edgeless host has the single empty maximal subset and the empty
 cover.
 
+Before any of this, ``exact_boxicity`` decides whether g is interval. If it
+is and its complement is inside the cap, the complement is cointerval, so it
+is the family's one member and the one-part cover (no part when g is
+complete): the scan does not run, and the cover search over that family
+takes two nodes (none for a complete g). Over the cap the call still
+refuses: box building lays out the complement of each part with the
+exponential clique-order search.
+
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
-``_is_cointerval`` on the part's support, the full interval decision on the
-complement of the part induced on its non-isolated vertices, since a
-certificate may come from outside the scan. That is exact: an isolated vertex
-of a part is universal in the part's complement, and a universal vertex never
-changes intervality (it gets an interval spanning all others, and an induced
-subgraph of an interval graph is interval). Verification checks containment
-in the host and coverage on neighbour masks, box building lays out each
+``intervals._is_cointerval`` on the part's own rows, since a certificate may
+come from outside the scan: no induced pair of independent edges, and
+transitively orientable. Verification checks containment in the host and
+coverage on neighbour masks, and the boxes on meet masks: per coordinate,
+each vertex's mask of the vertices whose interval meets its own, ANDed over
+the coordinates and compared with g's rows. Box building lays out each
 part's complement without deciding it again, and parts become edge text only
 in ``format_cover``.
 
@@ -105,7 +112,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapacityError, SelfCheckError
 from .graphs import (
@@ -118,7 +125,14 @@ from .graphs import (
     induced_subgraph,
     subgraph_distance,
 )
-from .intervals import _interval_layout, _is_interval_masks, _maximal_cliques_masks
+from .intervals import (
+    Verdict,
+    _interval_layout,
+    _is_cointerval,
+    _is_interval_masks,
+    _maximal_cliques_masks,
+    _meet_verdict,
+)
 
 #: Default cap on complement edge count for the exact engine
 #: (CLI flag ``--max-complement-edges``).
@@ -177,56 +191,12 @@ class BoxRep:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class BoxicityResult:
     value: int
     certificate: CointervalCover
     box_rep: BoxRep
     nodes_explored: int
     family_size: int
-
-
-def _is_cointerval(rows: Sequence[int]) -> bool:
-    """Cointervality of the graph on neighbour rows ``rows``, decided on its
-    support, the vertices with a neighbour.
-
-    An isolated vertex is universal in the complement, and adding or removing
-    a universal vertex never changes intervality, so the decision runs on the
-    complement of the part induced on its support, relabelled ``0..k-1``. Any
-    graph on at most three vertices is cointerval without a test.
-    """
-    support = 0
-    for row in rows:
-        support |= row
-    k = support.bit_count()
-    if k <= 3:
-        return True
-    # Each run of consecutive support vertices moves down by the number of
-    # non-support vertices below it.
-    runs = []
-    rest = support
-    while rest:
-        low = rest & -rest
-        run = rest & ~(rest + low)
-        runs.append((run, low.bit_length() - 1 - (support & (low - 1)).bit_count()))
-        rest ^= run
-    full = (1 << k) - 1
-    co = []
-    for v in _bit_list(support):
-        row = rows[v]
-        packed = 0
-        for run, shift in runs:
-            packed |= (row & run) >> shift
-        co.append(full & ~packed & ~(1 << len(co)))
-    return _is_interval_masks(k, tuple(co))
 
 
 def _maximal_cointerval_masks(
@@ -507,7 +477,8 @@ def exact_boxicity(
     g: Graph, max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP
 ) -> BoxicityResult:
     """Exact boxicity with a verified cointerval-cover certificate and a
-    verified box representation. Complete graphs have boxicity 0.
+    verified box representation. Complete graphs have boxicity 0, and other
+    interval graphs within the cap 1, from the decision without the scan.
 
     Restricting the cover search to inclusion-maximal cointerval subsets is
     lossless: any part of a cover stays cointerval when replaced by a maximal
@@ -515,10 +486,14 @@ def exact_boxicity(
     """
     host = complement(g)
     edges = host.edges()
-    family, scan_nodes = _maximal_cointerval_family_masks(
-        host.n, edges, max_complement_edges
-    )
     universe = (1 << len(edges)) - 1
+    if _is_interval_masks(g.n, g.adj) and len(edges) <= max_complement_edges:
+        # The host is cointerval, so it is its own one maximal subset.
+        family, scan_nodes = [universe], 0
+    else:
+        family, scan_nodes = _maximal_cointerval_family_masks(
+            host.n, edges, max_complement_edges
+        )
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(
         Graph.from_edges(host.n, (edges[p] for p in _bit_list(family[i])))
@@ -591,8 +566,9 @@ def cover_to_box_representation(g: Graph, cover: CointervalCover) -> BoxRep:
 
 
 def verify_box_representation(g: Graph, rep: BoxRep) -> Verdict:
-    """Accept iff per-coordinate interval intersection matches adjacency for
-    every vertex pair."""
+    """Accept iff the boxes meet exactly along adjacency: per coordinate,
+    each vertex's mask of the vertices whose interval meets its own, ANDed
+    over the coordinates and compared with the rows."""
     if len(rep.boxes) != g.n:
         return Verdict(False, f"{len(rep.boxes)} boxes for {g.n} vertices")
     for v, box in enumerate(rep.boxes):
@@ -601,18 +577,10 @@ def verify_box_representation(g: Graph, rep: BoxRep) -> Verdict:
         for lo, hi in box:
             if lo > hi:
                 return Verdict(False, f"vertex {v} has an empty interval")
-    if rep.dimension == 0 and complement(g).num_edges() > 0:
+    full = (1 << g.n) - 1
+    if rep.dimension == 0 and any(row | 1 << v != full for v, row in enumerate(g.adj)):
         return Verdict(False, "dimension 0 can only represent a complete graph")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            meets = all(
-                max(alo, blo) <= min(ahi, bhi)
-                for (alo, ahi), (blo, bhi) in zip(rep.boxes[u], rep.boxes[v])
-            )
-            if meets != g.has_edge(u, v):
-                want = "adjacent" if g.has_edge(u, v) else "non-adjacent"
-                return Verdict(False, f"boxes of {u} and {v} disagree with {want} pair")
-    return Verdict(True)
+    return _meet_verdict(g, zip(*rep.boxes), "boxes")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
-Hoffman 1964), tested on neighbour bitmasks by forcing implication classes
-(Golumbic 1977), the 4-cycle test first. ``is_cointerval`` and the engine's
-certificate verifier call only the decision.
+Hoffman 1964), tested on neighbour bitmasks, the 4-cycle test first.
+``_orientation_conflict`` orients the edges of the rows it is given by
+forcing implication classes (Golumbic 1977); ``_rejection`` runs it on the
+complement. Cointervality (``_is_cointerval``, behind ``is_cointerval`` and
+the engine's certificate verifier) is decided on the graph's own rows: no
+induced pair of independent edges, then the same orientation routine on the
+rows themselves, so no complement is built.
 
 Only an interval graph gets a witness, built after the decision: its maximal
 cliques in a linear order in which the cliques containing any fixed vertex
@@ -13,7 +17,13 @@ permutation search (exponential in the worst case). The order doubles as the
 interval representation (vertex -> [first clique index, last clique index]).
 A search that finds no order, or a component with more maximal cliques than
 vertices (an interval graph is chordal, so it has at most n, Fulkerson &
-Gross 1965), contradicts the decision and raises ``SelfCheckError``.
+Gross 1965), contradicts the decision and raises ``SelfCheckError``, and so
+does a representation that ``verify_interval_representation`` rejects.
+
+Representations are checked on meet masks: per coordinate, each vertex gets
+the mask of the vertices whose interval meets its own, from two endpoint
+orders; the masks are ANDed over the coordinates and compared with the rows.
+The engine's box check uses the same kernel, ``_meet_verdict``.
 
 ``chordal_at_free_oracle`` is a deliberately independent second implementation
 (perfect elimination ordering, then an asteroidal-triple test that labels the
@@ -24,10 +34,14 @@ code with the decision or the clique route.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, NotIntervalError, SelfCheckError
-from .graphs import Graph, _bit_list, complement, components_from_masks
+from .graphs import Graph, _bit_list, components_from_masks
 
 #: Cap on the number of maximal cliques ``maximal_cliques`` lists. Recognition
 #: needs none: it decides without cliques, and the witness search stops at one
@@ -113,13 +127,8 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
     is (Gilmore & Hoffman 1964).
 
     First the induced 4-cycle test: two non-adjacent vertices whose common
-    neighbours are not a clique. Then the complement is oriented one
-    implication class at a time (Golumbic 1977): orienting edge ab as a->b
-    forces a->c for every complement neighbour c of a that is not a
-    complement neighbour of b, and c->b for every complement neighbour c of b
-    that is not one of a. The complement is transitively orientable iff no
-    class forces an edge both ways. Classes are disjoint, so ``out``/``into``
-    accumulate over all of them.
+    neighbours are not a clique. Then ``_orientation_conflict`` orients the
+    complement.
     """
     full = (1 << n) - 1
     for u in range(n):
@@ -134,12 +143,25 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 rest ^= low
                 if common & ~adj[low.bit_length() - 1] & ~low:
                     return "induced 4-cycle"
+    return _orientation_conflict(n, [full & ~adj[v] & ~(1 << v) for v in range(n)])
+
+
+def _orientation_conflict(n: int, rows: Sequence[int]) -> str | None:
+    """Whether the graph on neighbour rows ``rows`` is transitively
+    orientable: None if it is, else the rejection reason of its complement.
+
+    The edges are oriented one implication class at a time (Golumbic 1977):
+    orienting edge ab as a->b forces a->c for every neighbour c of a that is
+    not a neighbour of b, and c->b for every neighbour c of b that is not one
+    of a. The graph is transitively orientable iff no class forces an edge
+    both ways. Classes are disjoint, so ``out``/``into`` accumulate over all
+    of them.
+    """
     unorientable = "complement not transitively orientable"
-    co = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out = [0] * n  # out[a]: vertices b with a->b oriented
     into = [0] * n  # into[b]: vertices a with a->b oriented
     for a0 in range(n):
-        fresh = co[a0] & ~out[a0] & ~into[a0]
+        fresh = rows[a0] & ~out[a0] & ~into[a0]
         while fresh:
             b0 = (fresh & -fresh).bit_length() - 1
             out[a0] |= 1 << b0
@@ -147,7 +169,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
             stack = [(a0, b0)]
             while stack:
                 a, b = stack.pop()
-                forced = co[a] & ~co[b] & ~(1 << b) & ~out[a]
+                forced = rows[a] & ~rows[b] & ~(1 << b) & ~out[a]
                 if forced:
                     if forced & into[a]:
                         return unorientable
@@ -158,7 +180,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                         c = low.bit_length() - 1
                         into[c] |= 1 << a
                         stack.append((a, c))
-                forced = co[b] & ~co[a] & ~(1 << a) & ~into[b]
+                forced = rows[b] & ~rows[a] & ~(1 << a) & ~into[b]
                 if forced:
                     if forced & out[b]:
                         return unorientable
@@ -169,8 +191,50 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                         c = low.bit_length() - 1
                         out[c] |= 1 << b
                         stack.append((c, b))
-            fresh = co[a0] & ~out[a0] & ~into[a0]
+            fresh = rows[a0] & ~out[a0] & ~into[a0]
     return None
+
+
+def _is_cointerval(rows: Sequence[int]) -> bool:
+    """Cointervality of the graph on neighbour rows ``rows``, decided on the
+    rows themselves: the complement is interval iff the graph has no induced
+    pair of independent edges (the complement of an induced 4-cycle) and is
+    transitively orientable. Isolated vertices hold no edge, so neither test
+    needs them removed, and any graph with at most three non-isolated
+    vertices is cointerval without a test.
+
+    A pair of independent edges uw and xy is found from its lowest vertex u:
+    x and y are among ``far``, the non-neighbours of u after it, and among
+    those, not neighbours of w. A vertex whose ``far`` holds no edge is
+    skipped.
+    """
+    support = 0
+    for row in rows:
+        support |= row
+    if support.bit_count() <= 3:
+        return True
+    for u in _bit_list(support):
+        far = support & ~rows[u] & ~((2 << u) - 1)
+        rest = far
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rows[low.bit_length() - 1] & far:
+                break
+        else:
+            continue
+        ends = rows[u] & ~((2 << u) - 1)
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            neither = far & ~rows[low.bit_length() - 1]
+            rest = neither
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if rows[low.bit_length() - 1] & neither:
+                    return False
+    return _orientation_conflict(len(rows), rows) is None
 
 
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
@@ -196,6 +260,48 @@ def _component_clique_orders(g: Graph) -> list[list[int]]:
             raise SelfCheckError("interval graph has no consecutive clique ordering")
         result.append([cliques[i] for i in order])
     return result
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a certificate check: ``reason`` says why it failed."""
+
+    ok: bool
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _meet_verdict(g: Graph, columns: Iterable[Sequence[tuple[int, int]]], what: str) -> Verdict:
+    """Accept iff two vertices are adjacent exactly when their intervals meet
+    in every column; ``columns`` holds one non-empty interval per vertex for
+    each coordinate. Per column, each vertex gets the mask of the vertices
+    whose interval meets its own; the masks are ANDed over the columns and
+    compared with the rows. The first disagreeing pair, lowest u then lowest
+    v, names the failure, with ``what`` naming the vertices' objects."""
+    meet = [(1 << g.n) - 1] * g.n
+    for col in columns:
+        # [a, b] meets [c, d] iff a <= d and c <= b: the vertices that start
+        # at or before v's end, less those that end before v's start. Both
+        # are prefixes of an endpoint order, found by bisection.
+        by_lo = sorted(range(g.n), key=lambda v: col[v][0])
+        by_hi = sorted(range(g.n), key=lambda v: col[v][1])
+        los = [col[v][0] for v in by_lo]
+        his = [col[v][1] for v in by_hi]
+        started = [0, *accumulate((1 << v for v in by_lo), or_)]
+        ended = [0, *accumulate((1 << v for v in by_hi), or_)]
+        meet = [
+            m & started[bisect_right(los, hi)] & ~ended[bisect_left(his, lo)]
+            for m, (lo, hi) in zip(meet, col)
+        ]
+    for u, (row, m) in enumerate(zip(g.adj, meet)):
+        diff = (row ^ m) >> (u + 1)
+        if diff:
+            v = (diff & -diff).bit_length() + u
+            want = "adjacent" if row >> v & 1 else "non-adjacent"
+            return Verdict(False, f"{what} of {u} and {v} disagree with {want} pair")
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -255,7 +361,23 @@ def interval_representation(g: Graph) -> IntervalRep:
     """
     if not _is_interval_masks(g.n, g.adj):
         raise NotIntervalError("graph is not interval, no representation exists")
-    return _interval_layout(g)
+    rep = _interval_layout(g)
+    verdict = verify_interval_representation(g, rep)
+    if not verdict:
+        raise SelfCheckError(f"interval representation failed verification: {verdict.reason}")
+    return rep
+
+
+def verify_interval_representation(g: Graph, rep: IntervalRep) -> Verdict:
+    """Accept iff ``rep`` gives every vertex a non-empty interval and two
+    intervals meet exactly when their vertices are adjacent: a box
+    representation with one coordinate, checked on meet masks."""
+    if len(rep.intervals) != g.n:
+        return Verdict(False, f"{len(rep.intervals)} intervals for {g.n} vertices")
+    for v, (lo, hi) in enumerate(rep.intervals):
+        if lo > hi:
+            return Verdict(False, f"vertex {v} has an empty interval")
+    return _meet_verdict(g, [rep.intervals], "intervals")
 
 
 def _interval_layout(g: Graph) -> IntervalRep:
@@ -277,7 +399,7 @@ def _interval_layout(g: Graph) -> IntervalRep:
 
 def is_cointerval(g: Graph) -> bool:
     """True iff the complement is an interval graph; no witness is built."""
-    return _is_interval_masks(g.n, complement(g).adj)
+    return _is_cointerval(g.adj)
 
 
 def chordal_at_free_oracle(g: Graph) -> bool:

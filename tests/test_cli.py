@@ -201,6 +201,16 @@ class TestInterval:
         assert code == 4
         assert out == "" and "self-check" in err
 
+    def test_witness_failing_verification_exits_four(self, capsys, monkeypatch):
+        layout = intervals._interval_layout
+        monkeypatch.setattr(
+            intervals, "_interval_layout",
+            lambda g: intervals.IntervalRep(layout(g).intervals[:-1] + ((9, 9),)),
+        )
+        code, out, err = run_cli(["interval", graph6_encode(path_graph(5))], capsys)
+        assert code == 4
+        assert out == "" and "failed verification" in err
+
 
 class TestCoverCommands:
     def test_construct_and_verify(self, tmp_path, capsys):
@@ -230,6 +240,17 @@ class TestCoverCommands:
         g6 = graph6_encode(mycielski(complete_graph(3), 2)[0])
         code, out, _ = run_cli(["verify-cover", g6, str(cert)], capsys)
         assert code == 1 and out.startswith("reject")
+
+    def test_certificate_for_another_graph_rejected(self, tmp_path, capsys):
+        # A valid certificate checked against a graph whose complement is not
+        # its host is a rejected certificate (exit 1), not a usage error.
+        g6 = graph6_encode(mycielski(cycle_graph(4), 2)[0])
+        code, out, _ = run_cli(["box", g6, "--stdout"], capsys)
+        cert = tmp_path / "myc.cert"
+        cert.write_text("".join(line + "\n" for line in out.splitlines()[1:]))
+        code, out, err = run_cli(["verify-cover", graph6_encode(cycle_graph(5)), str(cert)], capsys)
+        assert code == 1 and err == ""
+        assert out == "reject cover host is not the complement of the given graph\n"
 
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run_cli(["verify-cover", "C]", "/nonexistent.cert"], capsys)

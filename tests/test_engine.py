@@ -16,7 +16,7 @@ from boxicity.generators import (
     star_graph,
 )
 from boxicity.graphs import Graph, complement, graph6_encode, induced_subgraph, join
-from boxicity import engine
+from boxicity import engine, intervals
 from boxicity.intervals import _is_interval_masks, is_cointerval
 from boxicity.engine import (
     BoxRep,
@@ -169,17 +169,20 @@ class TestMaximalFamily:
                 assert sorted(fast) == brute_maximal_family(host)
 
     def test_five_cycle_never_reaches_a_leaf(self, monkeypatch):
-        # The scan calls no recognizer and accepts every leaf, so a leaf that
-        # is not cointerval would enter the family. C5 is self-complementary
-        # and not chordal; the complement of C6 has no induced pair of
+        # The scan calls no recognizer, not even its orientation routine, and
+        # accepts every leaf, so a leaf that is not cointerval would enter the
+        # family. C5 is self-complementary and not chordal; the complement of C6 has no induced pair of
         # independent edges but is not transitively orientable.
         def refuse(n, adj):
             raise AssertionError("the scan called the recognizer")
 
-        monkeypatch.setattr(engine, "_is_interval_masks", refuse)
         for host in (cycle_graph(5), complement(cycle_graph(6))):
-            family = maximal_cointerval_family(host)
-            assert sorted(p.edges() for p in family) == brute_maximal_family(host)
+            want = brute_maximal_family(host)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_is_interval_masks", refuse)
+                m.setattr(intervals, "_orientation_conflict", refuse)
+                family = maximal_cointerval_family(host)
+            assert sorted(p.edges() for p in family) == want
 
     def test_blocked_later_edges_cut_an_exclude_branch(self):
         # On the path 0-1-...-5 the scan places the vertices 0, 5, 1, 2, 3, 4,
@@ -428,6 +431,39 @@ class TestExactBoxicity:
         with pytest.raises(CapacityError, match="max-complement-edges"):
             exact_boxicity(empty_graph(8))
         assert exact_boxicity(empty_graph(8), max_complement_edges=28).value == 1
+
+    def test_interval_graphs_skip_the_scan(self, graphs_by_n, monkeypatch):
+        # An interval graph's complement is cointerval, so it is the one
+        # maximal subset and the one-part cover. The answer from the decision
+        # equals the scan's on every interval graph with up to 7 vertices, and
+        # its node count is the cover search's alone.
+        interval_graphs = [
+            g for n in range(1, 8) for g in graphs_by_n[n] if _is_interval_masks(g.n, g.adj)
+        ]
+        assert len(interval_graphs) == 505
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_is_interval_masks", lambda n, adj: False)
+            scanned = [exact_boxicity(g) for g in interval_graphs]
+
+        def refuse(*args):
+            raise AssertionError("an interval graph reached the scan")
+
+        monkeypatch.setattr(engine, "_maximal_cointerval_family_masks", refuse)
+        for g, want in zip(interval_graphs, scanned):
+            result = exact_boxicity(g)
+            assert result.value == want.value == (0 if g == complete_graph(g.n) else 1)
+            assert format_cover(result.certificate) == format_cover(want.certificate)
+            assert result.box_rep == want.box_rep
+            assert result.family_size == want.family_size == 1
+            universe = (1 << complement(g).num_edges()) - 1
+            assert result.nodes_explored == engine._minimum_cover(universe, [universe])[1]
+
+    def test_interval_graph_over_the_cap_is_refused(self):
+        # The decision answers only inside the cap: box building still runs
+        # the exponential clique-order search on the complement of each part.
+        with pytest.raises(CapacityError, match="max-complement-edges"):
+            exact_boxicity(path_graph(10))
+        assert exact_boxicity(path_graph(10), max_complement_edges=36).value == 1
 
     def test_reports_search_stats(self):
         result = exact_boxicity(cycle_graph(4))

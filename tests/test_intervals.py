@@ -22,6 +22,7 @@ from boxicity.graphs import (
     induced_subgraph,
 )
 from boxicity.intervals import (
+    IntervalRep,
     _has_asteroidal_triple,
     _is_interval_masks,
     _rejection,
@@ -30,6 +31,7 @@ from boxicity.intervals import (
     is_cointerval,
     is_interval,
     maximal_cliques,
+    verify_interval_representation,
 )
 
 
@@ -176,6 +178,46 @@ class TestIntervalRepresentation:
     def test_serialization(self):
         text = interval_representation(path_graph(3)).to_text()
         assert text == "0 0 0\n1 0 1\n2 1 1\n"
+
+
+class TestVerifyIntervalRepresentation:
+    def test_matches_reconstruction_on_corpus_and_mutations(self, graphs_by_n):
+        # Every witness with up to 6 vertices and each single-endpoint +-1
+        # move of it: accepted exactly when its intersection graph is g.
+        count = rejected = 0
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                if not is_interval(g).interval:
+                    continue
+                rep = interval_representation(g)
+                reps = [rep]
+                for v in range(n):
+                    for end in (0, 1):
+                        for delta in (-1, 1):
+                            ivs = list(rep.intervals)
+                            ends = list(ivs[v])
+                            ends[end] += delta
+                            ivs[v] = tuple(ends)
+                            reps.append(IntervalRep(tuple(ivs)))
+                for r in reps:
+                    verdict = verify_interval_representation(g, r)
+                    well_formed = all(lo <= hi for lo, hi in r.intervals)
+                    assert verdict.ok == (well_formed and reconstruct(r, n) == g)
+                    count += 1
+                    rejected += not verdict.ok
+        assert (count, rejected) == (3112, 2037)
+
+    def test_messages(self):
+        g = path_graph(3)
+        cases = [
+            (((0, 0), (0, 1)), "2 intervals for 3 vertices"),
+            (((0, 0), (1, 0), (1, 1)), "vertex 1 has an empty interval"),
+            (((0, 0), (1, 2), (2, 2)), "intervals of 0 and 1 disagree with adjacent pair"),
+            (((0, 1), (1, 1), (1, 2)), "intervals of 0 and 2 disagree with non-adjacent pair"),
+        ]
+        for intervals_, reason in cases:
+            assert verify_interval_representation(g, IntervalRep(intervals_)).reason == reason
+        assert verify_interval_representation(g, IntervalRep(((0, 0), (0, 1), (1, 1)))).ok
 
 
 class TestHereditary:
@@ -357,6 +399,16 @@ class TestWitnessSelfCheck:
         with pytest.raises(SelfCheckError):
             is_interval(path_graph(5))
         with pytest.raises(SelfCheckError):
+            interval_representation(path_graph(5))
+
+    def test_unverified_witness_raises(self, monkeypatch):
+        # A layout that moves the last vertex off its neighbour is caught
+        # before it returns.
+        layout = intervals._interval_layout
+        monkeypatch.setattr(
+            intervals, "_interval_layout", lambda g: IntervalRep(layout(g).intervals[:-1] + ((9, 9),))
+        )
+        with pytest.raises(SelfCheckError, match="intervals of 3 and 4 disagree with adjacent"):
             interval_representation(path_graph(5))
 
     def test_too_many_cliques_raises(self, monkeypatch):
