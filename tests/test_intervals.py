@@ -24,6 +24,7 @@ from boxicity.graphs import (
 from boxicity.intervals import (
     IntervalRep,
     _has_asteroidal_triple,
+    _is_cointerval,
     _is_interval_masks,
     _rejection,
     chordal_at_free_oracle,
@@ -375,6 +376,29 @@ class TestDecision:
         assert count == 1252
         assert digest.hexdigest() == (
             "b1e5341d2dbc9334e6b2b4c474fc5b4f360b4f6f3cd29b9a1ceafc1d19c7dab5"
+        )
+
+    def test_recognition_digest_pinned(self, graphs_by_n):
+        # Every graph with up to 7 vertices: verdict, reason and clique order.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                r = is_interval(g)
+                digest.update(
+                    f"{graph6_encode(g)}|{r.verdict}|{r.reason}|{r.clique_order}\n".encode()
+                )
+        assert digest.hexdigest() == (
+            "c781d5f2175ca81104600fb48d0d7b83f1fe4195aafec620c839c67bf01adb3e"
+        )
+
+    def test_cointerval_digest_pinned(self, graphs_by_n):
+        # Every graph with up to 7 vertices: the cointervality decision.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                digest.update(f"{graph6_encode(g)}|{_is_cointerval(g.adj)}\n".encode())
+        assert digest.hexdigest() == (
+            "0ae313671fbe2ed125872cdd4089ba35dca2fb6e69bbdfcc57ae8202e88830ba"
         )
 
     def test_balanced_spider_61(self):
