@@ -147,10 +147,11 @@ def mycielski_kn_boxicity(n: int) -> int:
 
 
 def _focal_count(g: Graph) -> int:
-    """Focal vertices of g, with the complement-side reading asserted equal."""
+    """Focal vertices of g, with the complement-side reading asserted equal:
+    v is isolated in the complement when its closed row is full."""
     focal = focal_vertices(g)
-    comp = complement(g)
-    comp_isolated = {v for v in range(g.n) if comp.adj[v] == 0}
+    full = (1 << g.n) - 1
+    comp_isolated = {v for v in range(g.n) if g.adj[v] | 1 << v == full}
     if focal != comp_isolated:
         raise SelfCheckError("focal vertices differ from complement-isolated ones")
     return len(focal)

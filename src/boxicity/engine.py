@@ -88,8 +88,7 @@ is and its complement is inside the cap, the complement is cointerval, so it
 is the family's one member and the one-part cover (no part when g is
 complete): the scan does not run, and the cover search over that family
 takes two nodes (none for a complete g). Over the cap the call still
-refuses: box building lays out the complement of each part with the
-exponential clique-order search.
+refuses, although box building is polynomial.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
@@ -99,8 +98,10 @@ transitively orientable. Verification checks containment in the host and
 coverage on neighbour masks, and the boxes on meet masks: per coordinate,
 each vertex's mask of the vertices whose interval meets its own, ANDed over
 the coordinates and compared with g's rows. Box building lays out each
-part's complement without deciding it again, and parts become edge text only
-in ``format_cover``.
+part's complement from a transitive orientation of the part itself
+(``intervals._order_layout``, O(n^2) bit operations, no complement built),
+without deciding it again, and parts become edge text only in
+``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -127,11 +128,11 @@ from .graphs import (
 )
 from .intervals import (
     Verdict,
-    _interval_layout,
     _is_cointerval,
     _is_interval_masks,
     _maximal_cliques_masks,
     _meet_verdict,
+    _order_layout,
 )
 
 #: Default cap on complement edge count for the exact engine
@@ -551,7 +552,7 @@ def _cover_to_box_rep(g: Graph, cover: CointervalCover) -> BoxRep:
     once and checks every vertex pair of the boxes."""
     if not cover.parts:
         return BoxRep(1, tuple(((0, 0),) for _ in range(g.n)))
-    dims = [_interval_layout(complement(part)).intervals for part in cover.parts]
+    dims = [_order_layout(part.adj).intervals for part in cover.parts]
     boxes = tuple(tuple(dim[v] for dim in dims) for v in range(g.n))
     return BoxRep(len(cover.parts), boxes)
 

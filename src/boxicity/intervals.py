@@ -3,22 +3,33 @@
 The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
 Hoffman 1964), tested on neighbour bitmasks, the 4-cycle test first.
-``_orientation_conflict`` orients the edges of the rows it is given by
-forcing implication classes (Golumbic 1977); ``_rejection`` runs it on the
-complement. Cointervality (``_is_cointerval``, behind ``is_cointerval`` and
-the engine's certificate verifier) is decided on the graph's own rows: no
-induced pair of independent edges, then the same orientation routine on the
-rows themselves, so no complement is built.
+``_transitive_orientation`` orients the edges of the rows it is given by
+Golumbic's G-decomposition (1977): one implication class at a time, each
+found in the graph the earlier classes leave. It returns each vertex's
+predecessor mask, or None when a class forces an edge both ways;
+``_orientation_conflict`` turns None into the rejection reason, and
+``_rejection`` runs it on the complement. Cointervality (``_is_cointerval``,
+behind ``is_cointerval`` and the engine's certificate verifier) is decided on
+the graph's own rows: no induced pair of independent edges, then the same
+orientation routine on the rows themselves, so no complement is built.
 
-Only an interval graph gets a witness, built after the decision: its maximal
+Interval layouts take O(n^2) bit operations and list no clique.
+``_order_layout`` orients a cointerval graph: the complement of the graph to
+lay out in ``interval_representation``, or for the engine's boxes the cover
+part itself. The graph has no induced pair of independent edges, so the
+orientation is an interval order, and its distinct predecessor sets form a
+chain P_0 < ... < P_k (Fishburn 1970). Vertex v gets [index of pred(v), last
+i with v not in P_i]. An orientation that fails contradicts the decision and
+raises ``SelfCheckError``, and so does a representation that
+``verify_interval_representation`` rejects.
+
+``is_interval``'s witness is still searched after the decision: the maximal
 cliques in a linear order in which the cliques containing any fixed vertex
 are consecutive, found by the first valid order of a lexicographic
-permutation search (exponential in the worst case). The order doubles as the
-interval representation (vertex -> [first clique index, last clique index]).
-A search that finds no order, or a component with more maximal cliques than
-vertices (an interval graph is chordal, so it has at most n, Fulkerson &
-Gross 1965), contradicts the decision and raises ``SelfCheckError``, and so
-does a representation that ``verify_interval_representation`` rejects.
+permutation search (exponential in the worst case). A search that finds no
+order, or a component with more maximal cliques than vertices (an interval
+graph is chordal, so it has at most n, Fulkerson & Gross 1965), contradicts
+the decision and raises ``SelfCheckError``.
 
 Representations are checked on meet masks: per coordinate, each vertex gets
 the mask of the vertices whose interval meets its own, from two endpoint
@@ -148,51 +159,68 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
 
 def _orientation_conflict(n: int, rows: Sequence[int]) -> str | None:
     """Whether the graph on neighbour rows ``rows`` is transitively
-    orientable: None if it is, else the rejection reason of its complement.
+    orientable: None if it is, else the rejection reason of its complement."""
+    if _transitive_orientation(n, rows) is None:
+        return "complement not transitively orientable"
+    return None
 
-    The edges are oriented one implication class at a time (Golumbic 1977):
-    orienting edge ab as a->b forces a->c for every neighbour c of a that is
-    not a neighbour of b, and c->b for every neighbour c of b that is not one
-    of a. The graph is transitively orientable iff no class forces an edge
-    both ways. Classes are disjoint, so ``out``/``into`` accumulate over all
-    of them.
+
+def _transitive_orientation(n: int, rows: Sequence[int]) -> list[int] | None:
+    """A transitive orientation of the graph on neighbour rows ``rows`` as
+    the predecessor mask of each vertex, or None if it has none.
+
+    Golumbic's G-decomposition (1977): the edges are oriented one implication
+    class at a time, each class found in the graph ``rem`` left after the
+    earlier classes are deleted. Orienting edge ab as a->b forces a->c for
+    every neighbour c of a in ``rem`` that is not one of b there, and c->b
+    for every neighbour c of b that is not one of a. The graph is
+    transitively orientable iff no class forces an edge both ways, and then
+    the union of the classes, each as first oriented, is transitive.
     """
-    unorientable = "complement not transitively orientable"
+    rem = list(rows)
     out = [0] * n  # out[a]: vertices b with a->b oriented
     into = [0] * n  # into[b]: vertices a with a->b oriented
     for a0 in range(n):
-        fresh = rows[a0] & ~out[a0] & ~into[a0]
-        while fresh:
-            b0 = (fresh & -fresh).bit_length() - 1
+        while rem[a0]:
+            b0 = (rem[a0] & -rem[a0]).bit_length() - 1
             out[a0] |= 1 << b0
             into[b0] |= 1 << a0
+            touched = 1 << a0 | 1 << b0
             stack = [(a0, b0)]
             while stack:
                 a, b = stack.pop()
-                forced = rows[a] & ~rows[b] & ~(1 << b) & ~out[a]
+                forced = rem[a] & ~rem[b] & ~(1 << b) & ~out[a]
                 if forced:
                     if forced & into[a]:
-                        return unorientable
+                        return None
                     out[a] |= forced
+                    touched |= forced
                     while forced:
                         low = forced & -forced
                         forced ^= low
                         c = low.bit_length() - 1
                         into[c] |= 1 << a
                         stack.append((a, c))
-                forced = rows[b] & ~rows[a] & ~(1 << a) & ~into[b]
+                forced = rem[b] & ~rem[a] & ~(1 << a) & ~into[b]
                 if forced:
                     if forced & out[b]:
-                        return unorientable
+                        return None
                     into[b] |= forced
+                    touched |= forced
                     while forced:
                         low = forced & -forced
                         forced ^= low
                         c = low.bit_length() - 1
                         out[c] |= 1 << b
                         stack.append((c, b))
-            fresh = rows[a0] & ~out[a0] & ~into[a0]
-    return None
+            # The class is closed. Earlier classes are gone from ``rem``, so
+            # the oriented edges left there are this class's: delete them.
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                v = low.bit_length() - 1
+                rem[v] &= ~(out[v] | into[v])
+    return into
 
 
 def _is_cointerval(rows: Sequence[int]) -> bool:
@@ -353,11 +381,9 @@ class IntervalRep:
 
 
 def interval_representation(g: Graph) -> IntervalRep:
-    """Interval representation from the witness clique order.
-
-    Components are laid out left to right on disjoint integer ranges with a
-    one-slot gap between consecutive components; within a component, vertex v
-    maps to [first index, last index] of the cliques containing it.
+    """Interval representation, read off a transitive orientation of the
+    complement (``_order_layout``) after the decision accepts, and verified
+    before it returns. No clique is listed or ordered.
     """
     if not _is_interval_masks(g.n, g.adj):
         raise NotIntervalError("graph is not interval, no representation exists")
@@ -383,18 +409,30 @@ def verify_interval_representation(g: Graph, rep: IntervalRep) -> Verdict:
 def _interval_layout(g: Graph) -> IntervalRep:
     """``interval_representation`` of a graph already decided interval: the
     layout alone, without the decision."""
-    ordered = _component_clique_orders(g)
-    lo = [-1] * g.n
-    hi = [-1] * g.n
-    offset = 0
-    for comp_order in ordered:
-        for idx, cmask in enumerate(comp_order):
-            for v in _bit_list(cmask):
-                if lo[v] < 0:
-                    lo[v] = offset + idx
-                hi[v] = offset + idx
-        offset += len(comp_order) + 1
-    return IntervalRep(tuple(zip(lo, hi)))
+    full = (1 << g.n) - 1
+    return _order_layout([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
+
+
+def _order_layout(rows: Sequence[int]) -> IntervalRep:
+    """Interval representation of the complement of the cointerval graph on
+    neighbour rows ``rows``, read off a transitive orientation of the rows.
+
+    The graph has no induced pair of independent edges, so every transitive
+    orientation of it is an interval order, and its distinct predecessor
+    sets form a chain P_0 < ... < P_k (Fishburn 1970). Vertex v gets
+    [index of pred(v), last i with v not in P_i]: two vertices get disjoint
+    intervals exactly when one precedes the other.
+    """
+    into = _transitive_orientation(len(rows), rows)
+    if into is None:
+        raise SelfCheckError("cointerval graph has no transitive orientation")
+    chain = sorted(set(into), key=int.bit_count)
+    rank = {p: i for i, p in enumerate(chain)}
+    hi = [len(chain) - 1] * len(rows)
+    for i, (p, q) in enumerate(zip(chain, chain[1:])):
+        for v in _bit_list(q & ~p):
+            hi[v] = i
+    return IntervalRep(tuple((rank[p], h) for p, h in zip(into, hi)))
 
 
 def is_cointerval(g: Graph) -> bool:

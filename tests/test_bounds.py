@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from boxicity import bounds
 from boxicity.errors import CapacityError, SelfCheckError
 from boxicity.generators import (
     complete_graph,
@@ -208,6 +209,15 @@ class TestMycielskiLowerBound:
     def test_rejects_single_copy(self):
         with pytest.raises(ValueError):
             mycielski_lower_bound(cycle_graph(4), 1)
+
+    def test_focal_count_checks_closed_rows(self, monkeypatch):
+        # Two focal vertices: each closed row is full. A focal reading that
+        # misses them contradicts the rows.
+        g = focalize(cycle_graph(4), 2)
+        assert bounds._focal_count(g) == 2
+        monkeypatch.setattr(bounds, "focal_vertices", lambda g: set())
+        with pytest.raises(SelfCheckError, match="focal vertices differ"):
+            bounds._focal_count(g)
 
 
 class TestMycielskiUpperBound:

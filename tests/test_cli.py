@@ -196,8 +196,10 @@ class TestInterval:
         assert out == "not-interval\n"
 
     def test_witness_contradicting_decision_exits_four(self, capsys, monkeypatch):
-        monkeypatch.setattr(intervals, "_consecutive_order", lambda cliques: None)
-        code, out, err = run_cli(["interval", graph6_encode(path_graph(5))], capsys)
+        # A decision that accepts C5 (it has no induced 4-cycle) leaves the
+        # layout an unorientable complement to orient.
+        monkeypatch.setattr(intervals, "_orientation_conflict", lambda n, rows: None)
+        code, out, err = run_cli(["interval", graph6_encode(cycle_graph(5))], capsys)
         assert code == 4
         assert out == "" and "self-check" in err
 

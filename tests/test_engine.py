@@ -459,8 +459,8 @@ class TestExactBoxicity:
             assert result.nodes_explored == engine._minimum_cover(universe, [universe])[1]
 
     def test_interval_graph_over_the_cap_is_refused(self):
-        # The decision answers only inside the cap: box building still runs
-        # the exponential clique-order search on the complement of each part.
+        # The decision answers only inside the cap. Box building is
+        # polynomial now, but the cap still applies to the whole graph.
         with pytest.raises(CapacityError, match="max-complement-edges"):
             exact_boxicity(path_graph(10))
         assert exact_boxicity(path_graph(10), max_complement_edges=36).value == 1
@@ -631,7 +631,19 @@ class TestBoxRepresentation:
                     assert verdict == brute_verify_box_representation(g, r)
                     count += 1
                     rejected += not verdict.ok
-        assert (count, rejected) == (6592, 4098)
+        assert (count, rejected) == (6592, 4376)
+
+    def test_boxes_run_no_clique_search_on_corpus(self, graphs_by_n, monkeypatch):
+        # Each part is laid out from an orientation of the part itself.
+        def fail(*args):
+            raise AssertionError("box building ran the clique search")
+
+        monkeypatch.setattr(intervals, "_consecutive_order", fail)
+        monkeypatch.setattr(intervals, "_maximal_cliques_masks", fail)
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                rep = exact_boxicity(g).box_rep
+                assert brute_verify_box_representation(g, rep).ok
 
     def test_rejects_unverified_cover(self):
         g = cycle_graph(4)

@@ -155,7 +155,7 @@ class TestIntervalRepresentation:
 
     def test_edgeless_spreads_out(self):
         rep = interval_representation(empty_graph(4))
-        assert rep.intervals == ((0, 0), (2, 2), (4, 4), (6, 6))
+        assert rep.intervals == ((0, 0), (1, 1), (2, 2), (3, 3))
 
     def test_path_matches_clique_indices(self):
         rep = interval_representation(path_graph(4))
@@ -179,6 +179,24 @@ class TestIntervalRepresentation:
     def test_serialization(self):
         text = interval_representation(path_graph(3)).to_text()
         assert text == "0 0 0\n1 0 1\n2 1 1\n"
+
+    def test_trees_up_to_64_vertices_without_the_clique_search(self, monkeypatch):
+        # The layout comes from an orientation of the complement, so no clique
+        # is listed or ordered; the clique-order search took over 20 s on the
+        # 20-vertex caterpillar.
+        def fail(*args):
+            raise AssertionError("the layout ran the clique search")
+
+        monkeypatch.setattr(intervals, "_consecutive_order", fail)
+        monkeypatch.setattr(intervals, "_maximal_cliques_masks", fail)
+        trees = [caterpillar(spine, leaves) for spine, leaves in (
+            (10, 1), (12, 1), (20, 1), (32, 1), (21, 2), (16, 3), (8, 7))]
+        trees += [spider(legs) for legs in ([1] * 63, [1, 1, 61], [1, 2, 30], [2])]
+        assert max(g.n for g in trees) == 64
+        for g in trees:
+            rep = interval_representation(g)
+            assert verify_interval_representation(g, rep).ok
+            assert reconstruct(rep, g.n) == g
 
 
 class TestVerifyIntervalRepresentation:
@@ -206,7 +224,7 @@ class TestVerifyIntervalRepresentation:
                     assert verdict.ok == (well_formed and reconstruct(r, n) == g)
                     count += 1
                     rejected += not verdict.ok
-        assert (count, rejected) == (3112, 2037)
+        assert (count, rejected) == (3112, 2315)
 
     def test_messages(self):
         g = path_graph(3)
@@ -422,8 +440,11 @@ class TestWitnessSelfCheck:
         monkeypatch.setattr(intervals, "_consecutive_order", lambda cliques: None)
         with pytest.raises(SelfCheckError):
             is_interval(path_graph(5))
-        with pytest.raises(SelfCheckError):
-            interval_representation(path_graph(5))
+        # A decision that accepts C5 (it has no induced 4-cycle) leaves the
+        # layout an unorientable complement to orient.
+        monkeypatch.setattr(intervals, "_orientation_conflict", lambda n, rows: None)
+        with pytest.raises(SelfCheckError, match="no transitive orientation"):
+            interval_representation(cycle_graph(5))
 
     def test_unverified_witness_raises(self, monkeypatch):
         # A layout that moves the last vertex off its neighbour is caught

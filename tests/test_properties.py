@@ -2,8 +2,9 @@
 minimum cover search against a brute-force minimum, the graph6 and
 certificate text formats against their parsers, the graph symmetry check
 against single-bit flips, the support-reduced cointerval decision against
-the full-width one, the box verifier against the pairwise check, and the
-oracle's asteroidal-triple test against its definition."""
+the full-width one, the box verifier against the pairwise check, the
+oracle's asteroidal-triple test against its definition, and interval
+layouts and transitive orientations against their definitions."""
 
 import itertools
 
@@ -23,10 +24,15 @@ from boxicity.engine import (
     verify_box_representation,
 )
 from boxicity.graphs import Graph, graph6_decode, graph6_encode
-from boxicity.intervals import _has_asteroidal_triple, _is_interval_masks
+from boxicity.intervals import (
+    _has_asteroidal_triple,
+    _is_interval_masks,
+    _transitive_orientation,
+    interval_representation,
+)
 
 from test_engine import brute_maximal_family, brute_verify_box_representation
-from test_intervals import brute_has_asteroidal_triple
+from test_intervals import brute_has_asteroidal_triple, reconstruct
 
 # Fixed examples, no timing gate, no example database: every run draws the
 # same graphs, and a failure is not replayed from an earlier run.
@@ -246,3 +252,47 @@ def test_box_verifier_matches_pairwise_check(case):
 @given(graphs(max_n=12))
 def test_asteroidal_triple_matches_definition(g):
     assert _has_asteroidal_triple(g) == brute_has_asteroidal_triple(g)
+
+
+@st.composite
+def interval_models(draw, max_n):
+    """The intersection graph of up to ``max_n`` random closed intervals with
+    endpoints in 0..2n, so that shared endpoints, nesting and isolated
+    intervals all occur."""
+    n = draw(st.integers(1, max_n))
+    starts = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    ivs = [(a, a + b) for a, b in zip(starts, lengths)]
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if max(ivs[u][0], ivs[v][0]) <= min(ivs[u][1], ivs[v][1])
+    ]
+    return Graph.from_edges(n, edges)
+
+
+@settings(FIXED, max_examples=200)
+@given(interval_models(max_n=30))
+def test_layout_intersection_graph_is_the_graph(g):
+    assert reconstruct(interval_representation(g), g.n) == g
+
+
+@settings(FIXED, max_examples=200)
+@given(interval_models(max_n=14))
+def test_transitive_orientation_of_a_cointerval_graph(g):
+    # The complement of an interval graph: every edge oriented one way, no
+    # non-edge oriented, a->b->c implies a->c, and the predecessor sets are
+    # nested (an interval order).
+    n = g.n
+    rows = [((1 << n) - 1) & ~g.adj[v] & ~(1 << v) for v in range(n)]
+    into = _transitive_orientation(n, rows)
+    assert into is not None
+    arcs = {(a, b) for b in range(n) for a in range(n) if into[b] >> a & 1}
+    for a, b in itertools.combinations(range(n), 2):
+        edge = rows[a] >> b & 1
+        assert ((a, b) in arcs) + ((b, a) in arcs) == edge
+    for a, b, c in itertools.permutations(range(n), 3):
+        if (a, b) in arcs and (b, c) in arcs:
+            assert (a, c) in arcs
+    for u, v in itertools.combinations(range(n), 2):
+        assert into[u] & ~into[v] == 0 or into[v] & ~into[u] == 0
