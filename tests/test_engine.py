@@ -460,7 +460,7 @@ class TestExactBoxicity:
 
     def test_interval_graph_over_the_cap_is_refused(self):
         # The decision answers only inside the cap. Box building is
-        # polynomial now, but the cap still applies to the whole graph.
+        # polynomial, but the cap still applies to the whole graph.
         with pytest.raises(CapacityError, match="max-complement-edges"):
             exact_boxicity(path_graph(10))
         assert exact_boxicity(path_graph(10), max_complement_edges=36).value == 1

@@ -182,8 +182,8 @@ class TestIntervalRepresentation:
 
     def test_trees_up_to_64_vertices_without_the_clique_search(self, monkeypatch):
         # The layout comes from an orientation of the complement, so no clique
-        # is listed or ordered; the clique-order search took over 20 s on the
-        # 20-vertex caterpillar.
+        # is listed or ordered; is_interval's clique-order search gives no
+        # answer within 20 s on the 20-vertex caterpillar.
         def fail(*args):
             raise AssertionError("the layout ran the clique search")
 
@@ -194,9 +194,7 @@ class TestIntervalRepresentation:
         trees += [spider(legs) for legs in ([1] * 63, [1, 1, 61], [1, 2, 30], [2])]
         assert max(g.n for g in trees) == 64
         for g in trees:
-            rep = interval_representation(g)
-            assert verify_interval_representation(g, rep).ok
-            assert reconstruct(rep, g.n) == g
+            assert reconstruct(interval_representation(g), g.n) == g
 
 
 class TestVerifyIntervalRepresentation:
