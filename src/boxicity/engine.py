@@ -84,24 +84,23 @@ order. An edgeless host has the single empty maximal subset and the empty
 cover.
 
 Before any of this, ``exact_boxicity`` decides whether g is interval. If it
-is and its complement is inside the cap, the complement is cointerval, so it
-is the family's one member and the one-part cover (no part when g is
-complete): the scan does not run, and the cover search over that family
-takes two nodes (none for a complete g). Over the cap the call still
-refuses, although box building is polynomial.
+is, its complement is cointerval, so it is the family's one member and the
+one-part cover (no part when g is complete): the scan does not run, so the
+complement-edge cap, which bounds the scan, does not apply, and the cover
+search over that family takes two nodes (none for a complete g).
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
-``intervals._is_cointerval`` on the part's own rows, since a certificate may
-come from outside the scan: no induced pair of independent edges, and
-transitively orientable. Verification checks containment in the host and
-coverage on neighbour masks, and the boxes on meet masks: per coordinate,
-each vertex's mask of the vertices whose interval meets its own, ANDed over
-the coordinates and compared with g's rows. Box building lays out each
-part's complement from a transitive orientation of the part itself
-(``intervals._order_layout``, O(n^2) bit operations, no complement built),
-without deciding it again, and parts become edge text only in
-``format_cover``.
+``intervals._interval_order`` on the part's own rows, since a certificate
+may come from outside the scan: one transitive orientation whose
+predecessor sets form a chain. Verification checks containment in the host
+and coverage on neighbour masks, and the boxes on meet masks: per
+coordinate, each vertex's mask of the vertices whose interval meets its
+own, ANDed over the coordinates and compared with g's rows. Box building
+lays out each part's complement from the interval order that verified the
+part (``intervals._order_layout``, no complement built), so
+``exact_boxicity`` and ``cover_to_box_representation`` orient each part
+once, and parts become edge text only in ``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -127,8 +126,9 @@ from .graphs import (
     subgraph_distance,
 )
 from .intervals import (
+    IntervalOrder,
     Verdict,
-    _is_cointerval,
+    _interval_order,
     _is_interval_masks,
     _maximal_cliques_masks,
     _meet_verdict,
@@ -479,7 +479,9 @@ def exact_boxicity(
 ) -> BoxicityResult:
     """Exact boxicity with a verified cointerval-cover certificate and a
     verified box representation. Complete graphs have boxicity 0, and other
-    interval graphs within the cap 1, from the decision without the scan.
+    interval graphs 1, from the decision without the scan and at any size;
+    any other graph whose complement is over ``max_complement_edges`` raises
+    ``CapacityError``.
 
     Restricting the cover search to inclusion-maximal cointerval subsets is
     lossless: any part of a cover stays cointerval when replaced by a maximal
@@ -488,8 +490,9 @@ def exact_boxicity(
     host = complement(g)
     edges = host.edges()
     universe = (1 << len(edges)) - 1
-    if _is_interval_masks(g.n, g.adj) and len(edges) <= max_complement_edges:
-        # The host is cointerval, so it is its own one maximal subset.
+    if _is_interval_masks(g.n, g.adj):
+        # The host is cointerval, so it is its own one maximal subset, at any
+        # size: the cap bounds the scan, which does not run.
         family, scan_nodes = [universe], 0
     else:
         family, scan_nodes = _maximal_cointerval_family_masks(
@@ -501,69 +504,82 @@ def exact_boxicity(
         for i in chosen
     )
     cover = CointervalCover(host, parts)
-    rep = _cover_to_box_rep(g, cover)
-    _self_check(g, cover, rep, len(parts))
+    orders = _self_check(g, cover, len(parts))
+    rep = _cover_to_box_rep(g, orders)
     return BoxicityResult(len(parts), cover, rep, scan_nodes + cover_nodes, len(family))
 
 
-def _self_check(g: Graph, cover: CointervalCover, rep: BoxRep, value: int) -> None:
-    verdict = verify_cointerval_cover(g, cover)
+def _self_check(g: Graph, cover: CointervalCover, value: int) -> list[IntervalOrder]:
+    """Verify the engine's certificate and its part count, and return each
+    part's interval order for box building."""
+    verdict, orders = _cover_orders(g, cover)
     if not verdict:
         raise SelfCheckError(f"engine certificate failed verification: {verdict.reason}")
     if len(cover.parts) != value:
         raise SelfCheckError("engine certificate part count mismatch")
-    box_verdict = verify_box_representation(g, rep)
-    if not box_verdict:
-        raise SelfCheckError(
-            f"engine box representation failed verification: {box_verdict.reason}"
-        )
-    if rep.dimension != max(value, 1):
-        raise SelfCheckError("engine box representation dimension mismatch")
+    return orders
 
 
 def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
     """Check the three certificate invariants: parts within the host's edges,
     every part cointerval as a spanning subgraph, and full edge coverage."""
+    return _cover_orders(g, cover)[0]
+
+
+def _cover_orders(
+    g: Graph, cover: CointervalCover
+) -> tuple[Verdict, list[IntervalOrder]]:
+    """``verify_cointerval_cover``'s verdict, and on acceptance each part's
+    interval order (``intervals._interval_order``), the orientation that
+    decided it cointerval."""
     host = cover.host
     if not _is_complement(host, g):
         raise ValueError("cover host is not the complement of the given graph")
     covered = [0] * host.n
+    orders = []
     for i, part in enumerate(cover.parts):
         if part.n != host.n:
-            return Verdict(False, f"part {i} has host_n {part.n}, want {host.n}")
+            return Verdict(False, f"part {i} has host_n {part.n}, want {host.n}"), []
         foreign = tuple(p & ~h for p, h in zip(part.adj, host.adj))
         if any(foreign):
             u, v = Graph(host.n, foreign).edges()[0]
-            return Verdict(False, f"part {i} contains non-host edge {u}-{v}")
-        if not _is_cointerval(part.adj):
-            return Verdict(False, f"part {i} is not cointerval")
+            return Verdict(False, f"part {i} contains non-host edge {u}-{v}"), []
+        order = _interval_order(part.adj)
+        if order is None:
+            return Verdict(False, f"part {i} is not cointerval"), []
+        orders.append(order)
         covered = [c | p for c, p in zip(covered, part.adj)]
     missing = tuple(h & ~c for h, c in zip(host.adj, covered))
     if any(missing):
         u, v = Graph(host.n, missing).edges()[0]
-        return Verdict(False, f"host edge {u}-{v} is covered by no part")
-    return Verdict(True)
+        return Verdict(False, f"host edge {u}-{v} is covered by no part"), []
+    return Verdict(True), orders
 
 
-def _cover_to_box_rep(g: Graph, cover: CointervalCover) -> BoxRep:
-    """Boxes from a cover whose parts are cointerval: the scan builds only
-    cointerval parts, and callers verify any other cover first. Each part is
-    laid out without deciding it again; ``_self_check`` decides every part
-    once and checks every vertex pair of the boxes."""
-    if not cover.parts:
-        return BoxRep(1, tuple(((0, 0),) for _ in range(g.n)))
-    dims = [_order_layout(part.adj).intervals for part in cover.parts]
-    boxes = tuple(tuple(dim[v] for dim in dims) for v in range(g.n))
-    return BoxRep(len(cover.parts), boxes)
+def _cover_to_box_rep(g: Graph, orders: list[IntervalOrder]) -> BoxRep:
+    """Boxes from the interval orders of a verified cover's parts: coordinate
+    j of vertex v is v's interval in ``_order_layout`` of part j's order. The
+    boxes are verified before they return."""
+    if orders:
+        dims = [_order_layout(order).intervals for order in orders]
+        rep = BoxRep(len(dims), tuple(tuple(dim[v] for dim in dims) for v in range(g.n)))
+    else:
+        rep = BoxRep(1, tuple(((0, 0),) for _ in range(g.n)))
+    verdict = verify_box_representation(g, rep)
+    if not verdict:
+        raise SelfCheckError(
+            f"engine box representation failed verification: {verdict.reason}"
+        )
+    return rep
 
 
 def cover_to_box_representation(g: Graph, cover: CointervalCover) -> BoxRep:
     """Turn a verified cover into boxes: coordinate j of vertex v is v's
     interval in the interval representation of the complement of part j."""
-    verdict = verify_cointerval_cover(g, cover)
+    verdict, orders = _cover_orders(g, cover)
     if not verdict:
         raise ValueError(f"cover does not verify: {verdict.reason}")
-    return _cover_to_box_rep(g, cover)
+    return _cover_to_box_rep(g, orders)
 
 
 def verify_box_representation(g: Graph, rep: BoxRep) -> Verdict:

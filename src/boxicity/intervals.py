@@ -7,21 +7,29 @@ Hoffman 1964), tested on neighbour bitmasks, the 4-cycle test first.
 Golumbic's G-decomposition (1977): one implication class at a time, each
 found in the graph the earlier classes leave. It returns each vertex's
 predecessor mask, or None when a class forces an edge both ways;
-``_orientation_conflict`` turns None into the rejection reason, and
-``_rejection`` runs it on the complement. Cointervality (``_is_cointerval``,
-behind ``is_cointerval`` and the engine's certificate verifier) is decided on
-the graph's own rows: no induced pair of independent edges, then the same
-orientation routine on the rows themselves, so no complement is built.
+``_rejection`` runs it on the complement.
 
-Interval layouts take O(n^2) bit operations and list no clique.
-``_order_layout`` orients a cointerval graph: the complement of the graph to
-lay out in ``interval_representation``, or for the engine's boxes the cover
-part itself. The graph has no induced pair of independent edges, so the
-orientation is an interval order, and its distinct predecessor sets form a
-chain P_0 < ... < P_k (Fishburn 1970). Vertex v gets [index of pred(v), last
-i with v not in P_i]. An orientation that fails contradicts the decision and
-raises ``SelfCheckError``, and so does a representation that
-``verify_interval_representation`` rejects.
+Cointervality is decided by one orientation. Let P be a transitive
+orientation of a graph H; H is P's comparability graph, so an induced pair
+of independent edges of H (the complement of an induced 4-cycle) is exactly
+an induced 2+2 of P, two 2-chains with no comparability between them. P is
+2+2-free, an interval order (Fishburn 1970), exactly when its predecessor
+sets are nested: a 2+2 a<x, c<y puts a in pred(x) alone and c in pred(y)
+alone, and two sets that are not nested, with a in pred(x) but not pred(y)
+and c in pred(y) but not pred(x), make a<x, c<y a 2+2: by transitivity any
+other comparability among the four gives a<y or c<x. So H is cointerval
+iff it has a transitive orientation and the distinct predecessor sets of
+any one of them, sorted by size, form a chain P_0 < ... < P_k.
+``_interval_order`` returns that orientation with its chain, or None;
+``_is_cointerval`` (behind ``is_cointerval`` and the engine's certificate
+verifier) runs it on the graph's own rows, so no complement is built.
+
+The same interval order is the layout, in O(n^2) bit operations with no
+clique listed: ``_order_layout`` gives vertex v [index of pred(v), last i
+with v not in P_i]. ``interval_representation`` decides and lays out from
+one interval order on the complement, and the engine lays out each cover
+part from the order its certificate check found. A representation that
+``verify_interval_representation`` rejects raises ``SelfCheckError``.
 
 ``is_interval``'s witness is still searched after the decision: the maximal
 cliques in a linear order in which the cliques containing any fixed vertex
@@ -53,6 +61,10 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, NotIntervalError, SelfCheckError
 from .graphs import Graph, _bit_list, components_from_masks
+
+#: An interval order on a graph's vertices (``_interval_order``): each vertex's
+#: predecessor mask, and the distinct masks as a chain sorted by size.
+IntervalOrder = tuple[list[int], list[int]]
 
 #: Cap on the number of maximal cliques ``maximal_cliques`` lists. Recognition
 #: needs none: it decides without cliques, and the witness search stops at one
@@ -138,7 +150,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
     is (Gilmore & Hoffman 1964).
 
     First the induced 4-cycle test: two non-adjacent vertices whose common
-    neighbours are not a clique. Then ``_orientation_conflict`` orients the
+    neighbours are not a clique. Then ``_transitive_orientation`` orients the
     complement.
     """
     full = (1 << n) - 1
@@ -154,13 +166,7 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 rest ^= low
                 if common & ~adj[low.bit_length() - 1] & ~low:
                     return "induced 4-cycle"
-    return _orientation_conflict(n, [full & ~adj[v] & ~(1 << v) for v in range(n)])
-
-
-def _orientation_conflict(n: int, rows: Sequence[int]) -> str | None:
-    """Whether the graph on neighbour rows ``rows`` is transitively
-    orientable: None if it is, else the rejection reason of its complement."""
-    if _transitive_orientation(n, rows) is None:
+    if _transitive_orientation(n, [full & ~adj[v] & ~(1 << v) for v in range(n)]) is None:
         return "complement not transitively orientable"
     return None
 
@@ -223,46 +229,25 @@ def _transitive_orientation(n: int, rows: Sequence[int]) -> list[int] | None:
     return into
 
 
+def _interval_order(rows: Sequence[int]) -> IntervalOrder | None:
+    """An interval order on the graph with neighbour rows ``rows``, or None if
+    the graph is not cointerval: a transitive orientation as the predecessor
+    mask of each vertex, and the distinct predecessor masks sorted by size,
+    which form a chain (Fishburn 1970)."""
+    into = _transitive_orientation(len(rows), rows)
+    if into is None:
+        return None
+    chain = sorted(set(into), key=int.bit_count)
+    for p, q in zip(chain, chain[1:]):
+        if p & ~q:
+            return None
+    return into, chain
+
+
 def _is_cointerval(rows: Sequence[int]) -> bool:
     """Cointervality of the graph on neighbour rows ``rows``, decided on the
-    rows themselves: the complement is interval iff the graph has no induced
-    pair of independent edges (the complement of an induced 4-cycle) and is
-    transitively orientable. Isolated vertices hold no edge, so neither test
-    needs them removed, and any graph with at most three non-isolated
-    vertices is cointerval without a test.
-
-    A pair of independent edges uw and xy is found from its lowest vertex u:
-    x and y are among ``far``, the non-neighbours of u after it, and among
-    those, not neighbours of w. A vertex whose ``far`` holds no edge is
-    skipped.
-    """
-    support = 0
-    for row in rows:
-        support |= row
-    if support.bit_count() <= 3:
-        return True
-    for u in _bit_list(support):
-        far = support & ~rows[u] & ~((2 << u) - 1)
-        rest = far
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rows[low.bit_length() - 1] & far:
-                break
-        else:
-            continue
-        ends = rows[u] & ~((2 << u) - 1)
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            neither = far & ~rows[low.bit_length() - 1]
-            rest = neither
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if rows[low.bit_length() - 1] & neither:
-                    return False
-    return _orientation_conflict(len(rows), rows) is None
+    rows themselves by one transitive orientation and its chain test."""
+    return _interval_order(rows) is not None
 
 
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
@@ -381,13 +366,15 @@ class IntervalRep:
 
 
 def interval_representation(g: Graph) -> IntervalRep:
-    """Interval representation, read off a transitive orientation of the
-    complement (``_order_layout``) after the decision accepts, and verified
-    before it returns. No clique is listed or ordered.
+    """Interval representation, decided and laid out from one interval order
+    on the complement (``_order_layout``), and verified before it returns.
+    No clique is listed or ordered.
     """
-    if not _is_interval_masks(g.n, g.adj):
+    full = (1 << g.n) - 1
+    order = _interval_order([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
+    if order is None:
         raise NotIntervalError("graph is not interval, no representation exists")
-    rep = _interval_layout(g)
+    rep = _order_layout(order)
     verdict = verify_interval_representation(g, rep)
     if not verdict:
         raise SelfCheckError(f"interval representation failed verification: {verdict.reason}")
@@ -406,29 +393,15 @@ def verify_interval_representation(g: Graph, rep: IntervalRep) -> Verdict:
     return _meet_verdict(g, [rep.intervals], "intervals")
 
 
-def _interval_layout(g: Graph) -> IntervalRep:
-    """``interval_representation`` of a graph already decided interval: the
-    layout alone, without the decision."""
-    full = (1 << g.n) - 1
-    return _order_layout([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
-
-
-def _order_layout(rows: Sequence[int]) -> IntervalRep:
-    """Interval representation of the complement of the cointerval graph on
-    neighbour rows ``rows``, read off a transitive orientation of the rows.
-
-    The graph has no induced pair of independent edges, so every transitive
-    orientation of it is an interval order, and its distinct predecessor
-    sets form a chain P_0 < ... < P_k (Fishburn 1970). Vertex v gets
-    [index of pred(v), last i with v not in P_i]: two vertices get disjoint
-    intervals exactly when one precedes the other.
+def _order_layout(order: IntervalOrder) -> IntervalRep:
+    """Interval representation of the complement of a graph, read off an
+    interval order on the graph (``_interval_order``): vertex v gets [index
+    of pred(v) in the chain P_0 < ... < P_k, last i with v not in P_i], so
+    two vertices get disjoint intervals exactly when one precedes the other.
     """
-    into = _transitive_orientation(len(rows), rows)
-    if into is None:
-        raise SelfCheckError("cointerval graph has no transitive orientation")
-    chain = sorted(set(into), key=int.bit_count)
+    into, chain = order
     rank = {p: i for i, p in enumerate(chain)}
-    hi = [len(chain) - 1] * len(rows)
+    hi = [len(chain) - 1] * len(into)
     for i, (p, q) in enumerate(zip(chain, chain[1:])):
         for v in _bit_list(q & ~p):
             hi[v] = i

@@ -104,9 +104,21 @@ class TestBox:
         assert "host CQ" in out
 
     def test_capacity_exit(self, capsys):
-        empty9 = "H??????"  # edgeless graph on 9 vertices, complement has 36 edges
-        code, _, err = run_cli(["box", empty9, "--max-complement-edges", "5"], capsys)
+        # C9 is not interval, and its complement has 27 edges.
+        c9 = graph6_encode(cycle_graph(9))
+        code, _, err = run_cli(["box", c9, "--max-complement-edges", "5"], capsys)
         assert code == 3 and "max-complement-edges" in err
+
+    def test_interval_graph_over_the_cap_answers(self, tmp_path, capsys):
+        # The complement of the 10-vertex path has 36 edges, over the default
+        # cap, but the interval decision answers without the scan.
+        g6 = graph6_encode(path_graph(10))
+        code, out, _ = run_cli(["box", g6, "--stdout"], capsys)
+        assert code == 0 and out.splitlines()[0] == "box 1"
+        cert = tmp_path / "path10.cert"
+        cert.write_text(out.split("\n", 1)[1])
+        code, out, _ = run_cli(["verify-cover", g6, str(cert)], capsys)
+        assert code == 0 and out.strip() == "accept"
 
     def test_bad_graph6_is_parse_error(self, capsys):
         code, _, err = run_cli(["box", "!!"], capsys)
@@ -196,18 +208,18 @@ class TestInterval:
         assert out == "not-interval\n"
 
     def test_witness_contradicting_decision_exits_four(self, capsys, monkeypatch):
-        # A decision that accepts C5 (it has no induced 4-cycle) leaves the
-        # layout an unorientable complement to orient.
-        monkeypatch.setattr(intervals, "_orientation_conflict", lambda n, rows: None)
+        # An orientation that orients no edge is a chain of one empty
+        # predecessor set: it accepts C5 and lays every vertex out at one point.
+        monkeypatch.setattr(intervals, "_transitive_orientation", lambda n, rows: [0] * n)
         code, out, err = run_cli(["interval", graph6_encode(cycle_graph(5))], capsys)
         assert code == 4
         assert out == "" and "self-check" in err
 
     def test_witness_failing_verification_exits_four(self, capsys, monkeypatch):
-        layout = intervals._interval_layout
+        layout = intervals._order_layout
         monkeypatch.setattr(
-            intervals, "_interval_layout",
-            lambda g: intervals.IntervalRep(layout(g).intervals[:-1] + ((9, 9),)),
+            intervals, "_order_layout",
+            lambda order: intervals.IntervalRep(layout(order).intervals[:-1] + ((9, 9),)),
         )
         code, out, err = run_cli(["interval", graph6_encode(path_graph(5))], capsys)
         assert code == 4
@@ -391,8 +403,10 @@ class TestFlagChecks:
             assert args.max_complement_edges == cap
         assert parser.parse_args(["bounds", "C?", "--r", "2"]).r == 2
         assert parser.parse_args(["survey", "x", "--mycielski-r", "2"]).mycielski_r == 2
-        # A zero cap parses, then refuses any host with an edge.
-        code, _, err = run_cli(["box", "C?", "--max-complement-edges", "0"], capsys)
+        # A zero cap parses, then refuses any graph that is not interval and
+        # whose complement has an edge, such as C4.
+        c4 = graph6_encode(cycle_graph(4))
+        code, _, err = run_cli(["box", c4, "--max-complement-edges", "0"], capsys)
         assert code == 3 and "over the cap 0" in err
 
     def test_non_integer_keeps_argparse_message(self, capsys):

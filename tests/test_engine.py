@@ -180,7 +180,7 @@ class TestMaximalFamily:
             want = brute_maximal_family(host)
             with monkeypatch.context() as m:
                 m.setattr(engine, "_is_interval_masks", refuse)
-                m.setattr(intervals, "_orientation_conflict", refuse)
+                m.setattr(intervals, "_transitive_orientation", refuse)
                 family = maximal_cointerval_family(host)
             assert sorted(p.edges() for p in family) == want
 
@@ -322,7 +322,7 @@ class TestMaximalFamily:
                             rows[u] |= 1 << v
                             rows[v] |= 1 << u
                     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
-                    assert engine._is_cointerval(rows) == _is_interval_masks(n, co)
+                    assert intervals._is_cointerval(rows) == _is_interval_masks(n, co)
 
     def test_capacity_names_cap(self):
         with pytest.raises(CapacityError, match="max-complement-edges"):
@@ -428,9 +428,10 @@ class TestExactBoxicity:
             assert exact_boxicity(relabeled).value == exact_boxicity(g).value
 
     def test_capacity_error(self):
+        # C8 is not interval, and its complement has 20 edges.
         with pytest.raises(CapacityError, match="max-complement-edges"):
-            exact_boxicity(empty_graph(8))
-        assert exact_boxicity(empty_graph(8), max_complement_edges=28).value == 1
+            exact_boxicity(cycle_graph(8), max_complement_edges=19)
+        assert exact_boxicity(cycle_graph(8), max_complement_edges=20).value == 2
 
     def test_interval_graphs_skip_the_scan(self, graphs_by_n, monkeypatch):
         # An interval graph's complement is cointerval, so it is the one
@@ -458,17 +459,54 @@ class TestExactBoxicity:
             universe = (1 << complement(g).num_edges()) - 1
             assert result.nodes_explored == engine._minimum_cover(universe, [universe])[1]
 
-    def test_interval_graph_over_the_cap_is_refused(self):
-        # The decision answers only inside the cap. Box building is
-        # polynomial, but the cap still applies to the whole graph.
+    def test_interval_graph_over_the_cap_is_answered(self):
+        # The cap bounds the scan, and an interval graph needs none: the
+        # decision answers at any size with the one-part cover, which the
+        # cover search takes in two nodes. C9 is not interval, and its
+        # complement has 27 edges, over the default cap of 24.
+        for g in (path_graph(10), path_graph(64), star_graph(30), empty_graph(64)):
+            result = exact_boxicity(g)
+            assert result.value == 1 and result.nodes_explored == 2
+            assert result.certificate.parts == (result.certificate.host,)
+            assert verify_cointerval_cover(g, result.certificate)
         with pytest.raises(CapacityError, match="max-complement-edges"):
-            exact_boxicity(path_graph(10))
-        assert exact_boxicity(path_graph(10), max_complement_edges=36).value == 1
+            exact_boxicity(cycle_graph(9))
 
     def test_reports_search_stats(self):
         result = exact_boxicity(cycle_graph(4))
         assert result.nodes_explored > 0
         assert result.family_size == 2
+
+
+class TestOneOrientation:
+    """The interval order that decides a cover part cointerval is the one its
+    coordinate of the boxes is laid out from: each part is oriented once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        orient = intervals._transitive_orientation
+
+        def counted(n, rows):
+            calls.append(n)
+            return orient(n, rows)
+
+        monkeypatch.setattr(intervals, "_transitive_orientation", counted)
+        return calls
+
+    def test_exact_boxicity(self, calls):
+        # One for the interval decision on C8, which is not interval, and
+        # one per certificate part.
+        result = exact_boxicity(cycle_graph(8))
+        assert len(calls) == len(result.certificate.parts) + 1 == 3
+
+    def test_cover_to_box_representation(self, calls):
+        g = cycle_graph(8)
+        cover = exact_boxicity(g).certificate
+        calls.clear()
+        rep = cover_to_box_representation(g, cover)
+        assert verify_box_representation(g, rep)
+        assert len(calls) == len(cover.parts) == 2
 
 
 class TestVerifyCover:

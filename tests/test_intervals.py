@@ -196,6 +196,21 @@ class TestIntervalRepresentation:
         for g in trees:
             assert reconstruct(interval_representation(g), g.n) == g
 
+    def test_one_orientation(self, monkeypatch):
+        # The interval order that decides the complement cointerval is the
+        # layout: the complement is oriented once.
+        calls = []
+        orient = intervals._transitive_orientation
+
+        def counted(n, rows):
+            calls.append(n)
+            return orient(n, rows)
+
+        monkeypatch.setattr(intervals, "_transitive_orientation", counted)
+        g = caterpillar(12, 1)
+        assert reconstruct(interval_representation(g), g.n) == g
+        assert calls == [24]
+
 
 class TestVerifyIntervalRepresentation:
     def test_matches_reconstruction_on_corpus_and_mutations(self, graphs_by_n):
@@ -279,6 +294,22 @@ class TestCointerval:
         monkeypatch.setattr(intervals, "_consecutive_order", fail)
         for spine in (10, 32):
             assert is_cointerval(complement(caterpillar(spine, 1))) is True
+
+    def test_matches_oracle_on_corpus(self, graphs_by_n):
+        # The chain test against the independent recognizer, which shares no
+        # code with the orientation, run on the complement.
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
+
+    def test_only_the_chain_test_rejects(self):
+        # 2K2, P5 and C6 are bipartite, so transitively orientable, and each
+        # holds an induced pair of independent edges: the orientation exists,
+        # and its predecessor sets are not nested.
+        for g in (perfect_matching(4), path_graph(5), cycle_graph(6)):
+            assert intervals._transitive_orientation(g.n, g.adj) is not None
+            assert not _is_cointerval(g.adj)
+            assert not chordal_at_free_oracle(complement(g))
 
 
 class TestOracle:
@@ -438,18 +469,19 @@ class TestWitnessSelfCheck:
         monkeypatch.setattr(intervals, "_consecutive_order", lambda cliques: None)
         with pytest.raises(SelfCheckError):
             is_interval(path_graph(5))
-        # A decision that accepts C5 (it has no induced 4-cycle) leaves the
-        # layout an unorientable complement to orient.
-        monkeypatch.setattr(intervals, "_orientation_conflict", lambda n, rows: None)
-        with pytest.raises(SelfCheckError, match="no transitive orientation"):
+        # An orientation that orients no edge is a chain of one empty
+        # predecessor set: it accepts C5 and lays every vertex out at one point.
+        monkeypatch.setattr(intervals, "_transitive_orientation", lambda n, rows: [0] * n)
+        with pytest.raises(SelfCheckError, match="failed verification"):
             interval_representation(cycle_graph(5))
 
     def test_unverified_witness_raises(self, monkeypatch):
         # A layout that moves the last vertex off its neighbour is caught
         # before it returns.
-        layout = intervals._interval_layout
+        layout = intervals._order_layout
         monkeypatch.setattr(
-            intervals, "_interval_layout", lambda g: IntervalRep(layout(g).intervals[:-1] + ((9, 9),))
+            intervals, "_order_layout",
+            lambda order: IntervalRep(layout(order).intervals[:-1] + ((9, 9),)),
         )
         with pytest.raises(SelfCheckError, match="intervals of 3 and 4 disagree with adjacent"):
             interval_representation(path_graph(5))

@@ -2,7 +2,7 @@
 minimum cover search against a brute-force minimum, the graph6 and
 certificate text formats against their parsers, the graph symmetry check
 against single-bit flips, the support-reduced cointerval decision against
-the full-width one, the box verifier against the pairwise check, the
+the full-width one and against the independent oracle, the box verifier against the pairwise check, the
 oracle's asteroidal-triple test against its definition, and interval
 layouts and transitive orientations against their definitions."""
 
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from boxicity.engine import (
     BoxRep,
-    _is_cointerval,
     _minimum_cover,
     exact_boxicity,
     format_cover,
@@ -23,11 +22,13 @@ from boxicity.engine import (
     parse_cover,
     verify_box_representation,
 )
-from boxicity.graphs import Graph, graph6_decode, graph6_encode
+from boxicity.graphs import Graph, complement, graph6_decode, graph6_encode
 from boxicity.intervals import (
     _has_asteroidal_triple,
+    _is_cointerval,
     _is_interval_masks,
     _transitive_orientation,
+    chordal_at_free_oracle,
     interval_representation,
 )
 
@@ -207,6 +208,14 @@ def test_support_decision_matches_host_width(rows):
     full = (1 << n) - 1
     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
     assert _is_cointerval(rows) == _is_interval_masks(n, co)
+
+
+@settings(FIXED, max_examples=300)
+@given(graphs(max_n=16))
+def test_chain_test_matches_oracle(g):
+    # The orientation's chain test against the independent recognizer on the
+    # complement.
+    assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
 
 
 @st.composite
