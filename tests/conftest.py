@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from boxicity import intervals
 from boxicity.corpus import all_graphs, connected_graphs
 
 
@@ -25,3 +26,18 @@ def src_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture
+def orientation_calls(monkeypatch):
+    """The vertex count of each call to the transitive orientation routine,
+    made by any module while the test runs."""
+    calls = []
+    orient = intervals._transitive_orientation
+
+    def counted(n, rows):
+        calls.append(n)
+        return orient(n, rows)
+
+    monkeypatch.setattr(intervals, "_transitive_orientation", counted)
+    return calls

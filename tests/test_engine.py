@@ -482,31 +482,19 @@ class TestOneOrientation:
     """The interval order that decides a cover part cointerval is the one its
     coordinate of the boxes is laid out from: each part is oriented once."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        orient = intervals._transitive_orientation
-
-        def counted(n, rows):
-            calls.append(n)
-            return orient(n, rows)
-
-        monkeypatch.setattr(intervals, "_transitive_orientation", counted)
-        return calls
-
-    def test_exact_boxicity(self, calls):
+    def test_exact_boxicity(self, orientation_calls):
         # One for the interval decision on C8, which is not interval, and
         # one per certificate part.
         result = exact_boxicity(cycle_graph(8))
-        assert len(calls) == len(result.certificate.parts) + 1 == 3
+        assert len(orientation_calls) == len(result.certificate.parts) + 1 == 3
 
-    def test_cover_to_box_representation(self, calls):
+    def test_cover_to_box_representation(self, orientation_calls):
         g = cycle_graph(8)
         cover = exact_boxicity(g).certificate
-        calls.clear()
+        orientation_calls.clear()
         rep = cover_to_box_representation(g, cover)
         assert verify_box_representation(g, rep)
-        assert len(calls) == len(cover.parts) == 2
+        assert len(orientation_calls) == len(cover.parts) == 2
 
 
 class TestVerifyCover:

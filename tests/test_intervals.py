@@ -196,20 +196,12 @@ class TestIntervalRepresentation:
         for g in trees:
             assert reconstruct(interval_representation(g), g.n) == g
 
-    def test_one_orientation(self, monkeypatch):
+    def test_one_orientation(self, orientation_calls):
         # The interval order that decides the complement cointerval is the
         # layout: the complement is oriented once.
-        calls = []
-        orient = intervals._transitive_orientation
-
-        def counted(n, rows):
-            calls.append(n)
-            return orient(n, rows)
-
-        monkeypatch.setattr(intervals, "_transitive_orientation", counted)
         g = caterpillar(12, 1)
         assert reconstruct(interval_representation(g), g.n) == g
-        assert calls == [24]
+        assert orientation_calls == [24]
 
 
 class TestVerifyIntervalRepresentation:
