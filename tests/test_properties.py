@@ -2,9 +2,10 @@
 minimum cover search against a brute-force minimum, the graph6 and
 certificate text formats against their parsers, the graph symmetry check
 against single-bit flips, the support-reduced cointerval decision against
-the full-width one and against the independent oracle, the box verifier against the pairwise check, the
-oracle's asteroidal-triple test against its definition, and interval
-layouts and transitive orientations against their definitions."""
+the full-width one and against the independent oracle, the box verifier
+against the pairwise check, the oracle's asteroidal-triple test against its
+definition, and interval layouts and transitive orientations against their
+definitions."""
 
 import itertools
 
@@ -210,14 +211,6 @@ def test_support_decision_matches_host_width(rows):
     assert _is_cointerval(rows) == _is_interval_masks(n, co)
 
 
-@settings(FIXED, max_examples=300)
-@given(graphs(max_n=16))
-def test_chain_test_matches_oracle(g):
-    # The orientation's chain test against the independent recognizer on the
-    # complement.
-    assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
-
-
 @st.composite
 def box_cases(draw):
     """Boxes on up to 9 vertices in up to 3 coordinates with endpoints in
@@ -278,6 +271,14 @@ def interval_models(draw, max_n):
         if max(ivs[u][0], ivs[v][0]) <= min(ivs[u][1], ivs[v][1])
     ]
     return Graph.from_edges(n, edges)
+
+
+@settings(FIXED, max_examples=300)
+@given(graphs(max_n=16))
+def test_chain_test_matches_oracle(g):
+    # The orientation's chain test against the independent recognizer on the
+    # complement.
+    assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
 
 
 @settings(FIXED, max_examples=200)
