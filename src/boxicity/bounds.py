@@ -288,29 +288,29 @@ def compute_bounds_report(
     of g, cross-validated (crossed bounds raise, signalling a bug). Box, the
     focal count and the complement's clique cover number are computed once.
 
-    Cor 3.6 needs the exact boxicity of g, so it is left out when g's
-    complement has more edges than ``max_complement_edges``, as Thm 1.1 is
-    left out over the chromatic cap."""
+    Cor 3.6 needs the exact boxicity of g, so it is left out when the engine
+    refuses g, as Thm 1.1 is left out when the colouring solver refuses the
+    graph it needs a chromatic number of."""
     myc, _ = mycielski(g, r)
-    host = complement(g)
     focal = _focal_count(g)
     lower = []
-    if host.num_edges() <= max_complement_edges:
+    try:
         box = exact_boxicity(g, max_complement_edges).value
+    except CapacityError:
+        pass
+    else:
         lower.append((cor36_lower(box, focal), "cor3.6"))
     lower.append((matching_lower_bound(myc), "lemma3.3"))
     upper = []
     if r == 2:
-        theta, _ = edge_clique_cover(host)
+        theta, _ = edge_clique_cover(complement(g))
         upper.append((thm42_upper(theta, focal), "thm4.2"))
     upper.append((myc.n // 2, "roberts-floor-n/2"))
-    chi_myc = None
-    if r == 2:
-        if g.n <= DEFAULT_CHROMATIC_MAX_N:
-            chi_myc = chromatic_number(g) + 1
-    elif myc.n <= DEFAULT_CHROMATIC_MAX_N:
-        chi_myc = chromatic_number(myc)
-    if chi_myc is not None:
+    try:
+        chi_myc = chromatic_number(g) + 1 if r == 2 else chromatic_number(myc)
+    except CapacityError:
+        pass
+    else:
         # box = n/2 - s and chi >= n/(2s+2) rearrange to
         # box <= n/2 - n/(2 chi) + 1.
         bound = Fraction(myc.n, 2) - Fraction(myc.n, 2 * chi_myc) + 1

@@ -2,12 +2,12 @@
 
 The decision comes first and is polynomial: a graph is interval iff it has no
 induced 4-cycle and its complement is transitively orientable (Gilmore &
-Hoffman 1964), tested on neighbour bitmasks, the 4-cycle test first.
+Hoffman 1964). ``_decide`` alone decides it: the 4-cycle test on neighbour
+bitmasks first, then one ``_interval_order`` of the complement, returned.
 ``_transitive_orientation`` orients the edges of the rows it is given by
 Golumbic's G-decomposition (1977): one implication class at a time, each
 found in the graph the earlier classes leave. It returns each vertex's
-predecessor mask, or None when a class forces an edge both ways;
-``_rejection`` runs it on the complement.
+predecessor mask, or None when a class forces an edge both ways.
 
 Cointervality is decided by one orientation. Let P be a transitive
 orientation of a graph H; H is P's comparability graph, so an induced pair
@@ -21,19 +21,19 @@ other comparability among the four gives a<y or c<x. So H is cointerval
 iff it has a transitive orientation and the distinct predecessor sets of
 any one of them, sorted by size, form a chain P_0 < ... < P_k.
 ``_interval_order`` returns that orientation with its chain, or None;
-``_is_cointerval`` (behind ``is_cointerval`` and the engine's certificate
-verifier) runs it on the graph's own rows, so no complement is built.
+``is_cointerval`` and the engine's certificate verifier run it on the
+graph's own rows, so no complement is built.
 
 The same interval order is the layout, in O(n^2) bit operations with no
 clique listed: ``_order_layout`` gives vertex v [index of pred(v), last i
-with v not in P_i]. ``interval_representation`` decides and lays out from
-one interval order on the complement, and the engine lays out each cover
-part from the order its certificate check found. A representation that
+with v not in P_i]. ``interval_representation`` lays out from the order
+that ``_decide`` accepted, and the engine lays out each cover part from the
+order its certificate check found. A representation that
 ``verify_interval_representation`` rejects raises ``SelfCheckError``.
 
-``is_interval``'s witness is still searched after the decision: the maximal
-cliques in a linear order in which the cliques containing any fixed vertex
-are consecutive, found by the first valid order of a lexicographic
+``is_interval``'s witness is still searched, not read off the decision's
+order: the maximal cliques in a linear order in which the cliques holding
+any fixed vertex are consecutive, the first valid order of a lexicographic
 permutation search (exponential in the worst case). A search that finds no
 order, or a component with more maximal cliques than vertices (an interval
 graph is chordal, so it has at most n, Fulkerson & Gross 1965), contradicts
@@ -145,13 +145,15 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     return order if extend(0, 0, 0) else None
 
 
-def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
-    """Why the graph on neighbour rows ``adj`` is not interval, or None if it
-    is (Gilmore & Hoffman 1964).
+def _decide(n: int, adj: tuple[int, ...]) -> tuple[str | None, IntervalOrder | None]:
+    """Why the graph on neighbour rows ``adj`` is not interval (Gilmore &
+    Hoffman 1964) and None, or None and an interval order on its
+    complement, the graph's layout (``_order_layout``).
 
     First the induced 4-cycle test: two non-adjacent vertices whose common
-    neighbours are not a clique. Then ``_transitive_orientation`` orients the
-    complement.
+    neighbours are not a clique. Then one ``_interval_order`` of the
+    complement: with no induced 4-cycle its chain test cannot fail, so None
+    means no transitive orientation.
     """
     full = (1 << n) - 1
     for u in range(n):
@@ -165,10 +167,11 @@ def _rejection(n: int, adj: tuple[int, ...]) -> str | None:
                 low = rest & -rest
                 rest ^= low
                 if common & ~adj[low.bit_length() - 1] & ~low:
-                    return "induced 4-cycle"
-    if _transitive_orientation(n, [full & ~adj[v] & ~(1 << v) for v in range(n)]) is None:
-        return "complement not transitively orientable"
-    return None
+                    return "induced 4-cycle", None
+    order = _interval_order([full & ~adj[v] & ~(1 << v) for v in range(n)])
+    if order is None:
+        return "complement not transitively orientable", None
+    return None, order
 
 
 def _transitive_orientation(n: int, rows: Sequence[int]) -> list[int] | None:
@@ -244,15 +247,9 @@ def _interval_order(rows: Sequence[int]) -> IntervalOrder | None:
     return into, chain
 
 
-def _is_cointerval(rows: Sequence[int]) -> bool:
-    """Cointervality of the graph on neighbour rows ``rows``, decided on the
-    rows themselves by one transitive orientation and its chain test."""
-    return _interval_order(rows) is not None
-
-
 def _is_interval_masks(n: int, adj: tuple[int, ...]) -> bool:
     """The decision alone, without a witness."""
-    return _rejection(n, adj) is None
+    return _decide(n, adj)[0] is None
 
 
 def _component_clique_orders(g: Graph) -> list[list[int]]:
@@ -339,12 +336,13 @@ class RecognitionResult:
 def is_interval(g: Graph) -> RecognitionResult:
     """Decide intervality; deterministic, certificate-producing.
 
-    The polynomial decision answers first; only an accepted graph runs the
-    clique-order search. The witness is assembled per connected component (components in order of
-    smallest vertex, each component's clique permutations explored in
-    lexicographic order, first valid one kept).
+    ``_decide`` answers first; only an accepted graph runs the clique-order
+    search, not yet replaced by the decision's order. The witness is built
+    per connected component (components in order of smallest vertex, each
+    component's clique permutations explored in lexicographic order, first
+    valid one kept).
     """
-    reason = _rejection(g.n, g.adj)
+    reason, _ = _decide(g.n, g.adj)
     if reason is not None:
         return RecognitionResult(False, reason=reason)
     ordered = _component_clique_orders(g)
@@ -366,12 +364,11 @@ class IntervalRep:
 
 
 def interval_representation(g: Graph) -> IntervalRep:
-    """Interval representation, decided and laid out from one interval order
-    on the complement (``_order_layout``), and verified before it returns.
-    No clique is listed or ordered.
+    """Interval representation, decided by ``_decide`` and laid out from the
+    interval order on the complement that accepted it (``_order_layout``),
+    and verified before it returns. No clique is listed or ordered.
     """
-    full = (1 << g.n) - 1
-    order = _interval_order([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
+    _, order = _decide(g.n, g.adj)
     if order is None:
         raise NotIntervalError("graph is not interval, no representation exists")
     rep = _order_layout(order)
@@ -410,7 +407,7 @@ def _order_layout(order: IntervalOrder) -> IntervalRep:
 
 def is_cointerval(g: Graph) -> bool:
     """True iff the complement is an interval graph; no witness is built."""
-    return _is_cointerval(g.adj)
+    return _interval_order(g.adj) is not None
 
 
 def chordal_at_free_oracle(g: Graph) -> bool:

@@ -325,11 +325,16 @@ class TestBoundsReport:
         assert report.upper == ((9, "thm4.2"), (16, "roberts-floor-n/2"), (16, "thm1.1"))
 
     def test_over_engine_cap_drops_only_cor36(self):
-        # The complement of P9 has 28 edges, over the engine cap. Cor 3.6
-        # needs the exact boxicity of P9 and is left out; the other bounds
-        # need no engine run.
-        report = compute_bounds_report(path_graph(9))
+        # The complement of C9 has 27 edges, over the engine cap, and C9 is
+        # not interval, so the engine refuses it. Cor 3.6 needs the exact
+        # boxicity of C9 and is left out; the other bounds need no engine run.
+        report = compute_bounds_report(cycle_graph(9))
         assert report.lower == ((1, "lemma3.3"),)
+        assert report.upper == ((7, "thm4.2"), (9, "roberts-floor-n/2"), (8, "thm1.1"))
+        # P9's complement has 28 edges, but P9 is interval: the engine answers
+        # it at any size, so Cor 3.6 stays.
+        report = compute_bounds_report(path_graph(9))
+        assert report.lower == ((1, "cor3.6"), (1, "lemma3.3"))
         assert report.upper == ((6, "thm4.2"), (9, "roberts-floor-n/2"), (7, "thm1.1"))
         # The cap is the caller's: the complement of C5 has 5 edges.
         for cap, tags in ((5, ["cor3.6", "lemma3.3"]), (4, ["lemma3.3"])):

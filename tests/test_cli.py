@@ -168,9 +168,16 @@ class TestBoundsCommand:
 
     def test_over_engine_cap_leaves_out_cor36(self, capsys):
         header = "graph6,lower,upper,exact\n"
+        code, out, _ = run_cli(["bounds", "HhCGGE@"], capsys)  # C9
+        assert code == 0
+        assert out == header + "HhCGGE@,1:lemma3.3,7:thm4.2;9:roberts-floor-n/2;8:thm1.1,\n"
+        # P9's complement is over the cap too, but P9 is interval, so the
+        # engine answers it and the row keeps Cor 3.6.
         code, out, _ = run_cli(["bounds", "HhCGGC@"], capsys)  # P9
         assert code == 0
-        assert out == header + "HhCGGC@,1:lemma3.3,6:thm4.2;9:roberts-floor-n/2;7:thm1.1,\n"
+        assert out == header + (
+            "HhCGGC@,1:cor3.6;1:lemma3.3,6:thm4.2;9:roberts-floor-n/2;7:thm1.1,\n"
+        )
         # Under the cap the row keeps Cor 3.6, byte for byte as before.
         code, out, _ = run_cli(["bounds", "Dhc"], capsys)  # C5
         assert code == 0

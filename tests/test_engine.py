@@ -322,7 +322,8 @@ class TestMaximalFamily:
                             rows[u] |= 1 << v
                             rows[v] |= 1 << u
                     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
-                    assert intervals._is_cointerval(rows) == _is_interval_masks(n, co)
+                    cointerval = intervals._interval_order(rows) is not None
+                    assert cointerval == _is_interval_masks(n, co)
 
     def test_capacity_names_cap(self):
         with pytest.raises(CapacityError, match="max-complement-edges"):

@@ -23,10 +23,10 @@ from boxicity.graphs import (
 )
 from boxicity.intervals import (
     IntervalRep,
+    _decide,
     _has_asteroidal_triple,
-    _is_cointerval,
+    _interval_order,
     _is_interval_masks,
-    _rejection,
     chordal_at_free_oracle,
     interval_representation,
     is_cointerval,
@@ -202,6 +202,21 @@ class TestIntervalRepresentation:
         g = caterpillar(12, 1)
         assert reconstruct(interval_representation(g), g.n) == g
         assert orientation_calls == [24]
+        # An induced 4-cycle rejects before any orientation: C4, K_{2,3},
+        # and an interval graph less the edge 0-1, whose ends keep the two
+        # non-adjacent common neighbours 2 and 3.
+        ivs = ((0, 4), (2, 6), (2, 2), (3, 4), (5, 8), (7, 9), (0, 1))
+        g = reconstruct(IntervalRep(ivs), len(ivs))
+        cut = Graph.from_edges(g.n, [e for e in g.edges() if e != (0, 1)])
+        orientation_calls.clear()
+        for h in (cycle_graph(4), complete_multipartite([2, 3]), cut):
+            with pytest.raises(NotIntervalError):
+                interval_representation(h)
+        assert orientation_calls == []
+        # An accepted graph is decided by one orientation of its complement,
+        # and the clique-order witness orients nothing.
+        assert is_interval(g).interval
+        assert orientation_calls == [7]
 
 
 class TestVerifyIntervalRepresentation:
@@ -292,7 +307,8 @@ class TestCointerval:
         # code with the orientation, run on the complement.
         for n in range(1, 8):
             for g in graphs_by_n[n]:
-                assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
+                cointerval = _interval_order(g.adj) is not None
+                assert cointerval == chordal_at_free_oracle(complement(g))
 
     def test_only_the_chain_test_rejects(self):
         # 2K2, P5 and C6 are bipartite, so transitively orientable, and each
@@ -300,7 +316,7 @@ class TestCointerval:
         # and its predecessor sets are not nested.
         for g in (perfect_matching(4), path_graph(5), cycle_graph(6)):
             assert intervals._transitive_orientation(g.n, g.adj) is not None
-            assert not _is_cointerval(g.adj)
+            assert _interval_order(g.adj) is None
             assert not chordal_at_free_oracle(complement(g))
 
 
@@ -349,6 +365,13 @@ class TestOracle:
                 want = chordal_at_free_oracle(g)
                 assert _is_interval_masks(g.n, g.adj) == want
                 assert is_interval(g).interval == want
+                assert is_cointerval(complement(g)) == want
+                try:
+                    interval_representation(g)
+                except NotIntervalError:
+                    assert not want
+                else:
+                    assert want
                 assert is_cointerval(g) == chordal_at_free_oracle(complement(g))
 
 
@@ -402,7 +425,7 @@ class TestDecision:
                         for v in quad)
                     for quad in itertools.combinations(range(n), 4)
                 )
-                assert (_rejection(g.n, g.adj) == "induced 4-cycle") == has_c4
+                assert (_decide(g.n, g.adj)[0] == "induced 4-cycle") == has_c4
 
     def test_reasons_digest_pinned(self, graphs_by_n):
         # Every graph with up to 7 vertices: the decision's reason, or None.
@@ -410,7 +433,7 @@ class TestDecision:
         count = 0
         for n in range(1, 8):
             for g in graphs_by_n[n]:
-                digest.update(f"{graph6_encode(g)}|{_rejection(g.n, g.adj)}\n".encode())
+                digest.update(f"{graph6_encode(g)}|{_decide(g.n, g.adj)[0]}\n".encode())
                 count += 1
         assert count == 1252
         assert digest.hexdigest() == (
@@ -435,7 +458,8 @@ class TestDecision:
         digest = hashlib.sha256()
         for n in range(1, 8):
             for g in graphs_by_n[n]:
-                digest.update(f"{graph6_encode(g)}|{_is_cointerval(g.adj)}\n".encode())
+                cointerval = _interval_order(g.adj) is not None
+                digest.update(f"{graph6_encode(g)}|{cointerval}\n".encode())
         assert digest.hexdigest() == (
             "0ae313671fbe2ed125872cdd4089ba35dca2fb6e69bbdfcc57ae8202e88830ba"
         )

@@ -26,7 +26,7 @@ from boxicity.engine import (
 from boxicity.graphs import Graph, complement, graph6_decode, graph6_encode
 from boxicity.intervals import (
     _has_asteroidal_triple,
-    _is_cointerval,
+    _interval_order,
     _is_interval_masks,
     _transitive_orientation,
     chordal_at_free_oracle,
@@ -208,7 +208,7 @@ def test_support_decision_matches_host_width(rows):
     n = len(rows)
     full = (1 << n) - 1
     co = tuple(full & ~row & ~(1 << v) for v, row in enumerate(rows))
-    assert _is_cointerval(rows) == _is_interval_masks(n, co)
+    assert (_interval_order(rows) is not None) == _is_interval_masks(n, co)
 
 
 @st.composite
@@ -278,7 +278,7 @@ def interval_models(draw, max_n):
 def test_chain_test_matches_oracle(g):
     # The orientation's chain test against the independent recognizer on the
     # complement.
-    assert _is_cointerval(g.adj) == chordal_at_free_oracle(complement(g))
+    assert (_interval_order(g.adj) is not None) == chordal_at_free_oracle(complement(g))
 
 
 @settings(FIXED, max_examples=200)
