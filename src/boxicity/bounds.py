@@ -134,16 +134,12 @@ def chromatic_number(g: Graph) -> int:
 
 
 def mycielski_kn_boxicity(n: int) -> int:
-    """Boxicity of the Mycielski graph of the complete graph on n vertices.
-
-    Half of n rounded up, plus one more when n is even. The n = 1 graph
-    degenerates to an edge plus an isolated vertex with boxicity 1.
-    """
+    """Boxicity of the Mycielski graph of the complete graph on n vertices:
+    the Thm 4.2 bound with no complement edges and n focal vertices, which
+    is exact here. Half of n rounded up, plus one more when n is even."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return (n + 1) // 2 + (1 if n % 2 == 0 else 0)
+    return thm42_upper(0, n)
 
 
 def _focal_count(g: Graph) -> int:
@@ -199,27 +195,23 @@ class MultipartiteMycielskiBounds:
 
 
 def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielskiBounds:
-    """Closed-form bounds for the boxicity of the Mycielski graph of a
-    complete multipartite graph; the value is exact when the number of
-    singleton parts is odd or zero, and when every part is a singleton (the
-    complete graph, ``mycielski_kn_boxicity``; for an even count it equals the
-    upper bound)."""
+    """Cor 3.6 and Thm 4.2 for the Mycielski graph of a complete multipartite
+    graph. Its boxicity and the clique cover number of its complement are
+    both the number of parts with at least 2 vertices (Roberts 1969), and its
+    focal vertices are the singleton parts. The bounds meet when the
+    singleton count is odd or zero, and the upper one is exact when every
+    part is a singleton (the complete graph, ``mycielski_kn_boxicity``)."""
     sizes = list(parts)
     if not sizes:
         raise ValueError("need at least one part")
     for p in sizes:
         if p < 1:
             raise ValueError(f"part sizes must be positive, got {p}")
-    k = len(sizes)
-    l = sum(1 for p in sizes if p == 1)
-    lower = (2 * k - l + 1) // 2
-    upper = min(k, lower + 1)
-    if l == k:
-        exact = mycielski_kn_boxicity(k)
-    elif l == 0 or l % 2 == 1:
-        exact = lower
-    else:
-        exact = None
+    l = sizes.count(1)
+    box = len(sizes) - l
+    lower = cor36_lower(box, l)
+    upper = thm42_upper(box, l)
+    exact = upper if lower == upper or box == 0 else None
     return MultipartiteMycielskiBounds(lower, upper, exact)
 
 

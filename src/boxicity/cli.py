@@ -35,7 +35,7 @@ from .engine import (
     verify_cointerval_cover,
 )
 from .errors import CapacityError, NotIntervalError, SelfCheckError
-from .generators import gen_family, mycielski
+from .generators import MycielskiLayout, gen_family, mycielski
 from .graphs import (
     _check_vertex_count, complement, graph6_decode, graph6_encode, to_dot
 )
@@ -45,10 +45,6 @@ SURVEY_HEADER = (
     "graph6,n,m,box,chi,theta_comp,focal,lb_cor36,ub_thm42,"
     "chk_cor36,chk_thm42,chk_thm11,chk_chi_plus1"
 )
-
-#: Complement-edge threshold under which the survey verifies the Mycielski
-#: lower bound directly against an exact engine run.
-SURVEY_DIRECT_EDGE_LIMIT = 20
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -166,8 +162,9 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     the Mycielski graph is built once and handed to the cover construction.
 
     The Mycielski lower bound is checked directly against an exact engine run
-    when the Mycielski complement is small enough, and against the upper
-    bounds otherwise (crossed bounds would falsify one of the theorems).
+    whenever the engine answers under ``cap``, and against the Thm 4.2 upper
+    bound (Roberts' n/2 for r > 2) when it refuses: crossed bounds would
+    falsify one of the theorems.
     """
     check = chromatic_boxicity_check(g, cap)
     box, chi = check.box, check.chi
@@ -178,13 +175,12 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     myc, _ = mycielski(g, r)
     m2 = myc if r == 2 else mycielski(g, 2)[0]
 
-    if myc.n * (myc.n - 1) // 2 - myc.num_edges() <= SURVEY_DIRECT_EDGE_LIMIT:
+    try:
         myc_box = exact_boxicity(myc, cap).value
-        ok_cor36 = lb <= myc_box and (focal == 0 or myc_box > box)
-    elif r == 2:
-        ok_cor36 = lb <= ub
+    except CapacityError:
+        ok_cor36 = lb <= (ub if r == 2 else myc.n // 2)
     else:
-        ok_cor36 = lb <= myc.n // 2
+        ok_cor36 = lb <= myc_box and (focal == 0 or myc_box > box)
 
     try:
         ok_thm42 = len(_mycielski_cover(g, clique_cover, m2).parts) <= ub
@@ -215,7 +211,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         graphs = [(line, graph6_decode(line)) for line in map(str.strip, fh) if line]
     # Every Mycielski graph fits, or nothing is written.
     for _, g in graphs:
-        _check_vertex_count(args.mycielski_r * g.n + 1)
+        _check_vertex_count(MycielskiLayout(g.n, args.mycielski_r).total)
     print(SURVEY_HEADER)
     for line, g in graphs:
         row = survey_row(g, r=args.mycielski_r, cap=args.max_complement_edges)

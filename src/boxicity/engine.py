@@ -87,7 +87,10 @@ Before any of this, ``exact_boxicity`` decides whether g is interval. If it
 is, its complement is cointerval, so it is the family's one member and the
 one-part cover (no part when g is complete): the scan does not run, so the
 complement-edge cap, which bounds the scan, does not apply, and the cover
-search over that family takes two nodes (none for a complete g).
+search over that family takes two nodes (none for a complete g). Any other g
+whose complement is over the cap is refused on its complement-edge count,
+C(n,2) - m read off g's rows, before the complement is built, so asking the
+engine costs a caller no more than predicting its refusal.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
@@ -400,29 +403,32 @@ def _maximal_cointerval_masks(
 
 
 def _maximal_cointerval_family_masks(
-    n: int, edges: list[tuple[int, int]], cap: int
-) -> tuple[list[int], int]:
-    """The maximal cointerval subsets of the host's sorted edge list ``edges``
-    on ``n`` vertices, as masks ordered by edge list, plus the node count."""
-    if len(edges) > cap:
+    g: Graph, cap: int
+) -> tuple[Graph, list[tuple[int, int]], list[int], int]:
+    """The complement of g as the host, its sorted edge list, the maximal
+    cointerval subsets of that list as masks ordered by edge list, and the
+    scan's node count. A host over ``cap`` edges is refused from g's own
+    rows, C(n,2) - m, before it is built."""
+    size = g.n * (g.n - 1) // 2 - g.num_edges()
+    if size > cap:
         raise CapacityError(
-            f"host has {len(edges)} edges, over the cap {cap} "
-            f"(--max-complement-edges)"
+            f"host has {size} edges, over the cap {cap} (--max-complement-edges)"
         )
+    host = complement(g)
+    edges = host.edges()
     if not edges:
-        return [0], 0
-    family, nodes = _maximal_cointerval_masks(n, edges)
+        return host, edges, [0], 0
+    family, nodes = _maximal_cointerval_masks(g.n, edges)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=_bit_list)
-    return family, nodes
+    return host, edges, family, nodes
 
 
 def maximal_cointerval_family(host: Graph) -> list[Graph]:
     """All inclusion-maximal cointerval edge subsets of the host graph, as
     spanning subgraphs, ordered lexicographically by sorted edge list."""
-    edges = host.edges()
-    family, _ = _maximal_cointerval_family_masks(
-        host.n, edges, DEFAULT_COMPLEMENT_EDGE_CAP
+    _, edges, family, _ = _maximal_cointerval_family_masks(
+        complement(host), DEFAULT_COMPLEMENT_EDGE_CAP
     )
     return [
         Graph.from_edges(host.n, (edges[p] for p in _bit_list(mask))) for mask in family
@@ -487,17 +493,17 @@ def exact_boxicity(
     lossless: any part of a cover stays cointerval when replaced by a maximal
     superset from the family, and the union only grows.
     """
-    host = complement(g)
-    edges = host.edges()
-    universe = (1 << len(edges)) - 1
     if _is_interval_masks(g.n, g.adj):
         # The host is cointerval, so it is its own one maximal subset, at any
         # size: the cap bounds the scan, which does not run.
-        family, scan_nodes = [universe], 0
+        host = complement(g)
+        edges = host.edges()
+        family, scan_nodes = [(1 << len(edges)) - 1], 0
     else:
-        family, scan_nodes = _maximal_cointerval_family_masks(
-            host.n, edges, max_complement_edges
+        host, edges, family, scan_nodes = _maximal_cointerval_family_masks(
+            g, max_complement_edges
         )
+    universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(
         Graph.from_edges(host.n, (edges[p] for p in _bit_list(family[i])))

@@ -275,6 +275,34 @@ class TestMultipartiteBounds:
             if n % 2 == 0:
                 assert b.exact == b.upper
 
+    def test_lower_and_exact_digest_pinned(self):
+        # (parts, lower, exact) on all 271 partitions with up to 12 vertices.
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for parts in partitions(n):
+                b = multipartite_mycielski_bounds(parts)
+                digest.update(f"{parts},{b.lower},{b.exact}\n".encode())
+        assert digest.hexdigest() == (
+            "0b884b0c1ab168eac85f879a767fd2cbde0d4dd54571b79024e3c9cd96776de4"
+        )
+
+    def test_upper_meets_exact(self):
+        # Thm 4.2 gives the upper bound, so it is the exact value wherever
+        # one is known: K_{2,1,1,1} has lower bound 3 and boxicity 3.
+        for n in range(1, 13):
+            for parts in partitions(n):
+                b = multipartite_mycielski_bounds(parts)
+                assert b.lower <= b.upper
+                if b.exact is not None:
+                    assert b.upper == b.exact, parts
+
+    def test_odd_singletons_match_engine(self):
+        # 23 and 36 complement edges: the second is over the default cap.
+        for parts in ([2, 1, 1, 1], [3, 1, 1, 1]):
+            myc, _ = mycielski(complete_multipartite(parts), 2)
+            b = multipartite_mycielski_bounds(parts)
+            assert exact_boxicity(myc, max_complement_edges=36).value == 3 == b.upper
+
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
             multipartite_mycielski_bounds([])

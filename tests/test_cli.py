@@ -300,6 +300,40 @@ class TestSurvey:
             "Cl,4,4,2,2,2,0,2,2,pass,pass,pass,pass"
         )
 
+    def test_lowered_cap_checks_against_thm42(self, tmp_path, capsys):
+        # M(K4) has 14 complement edges, over the cap of 10: the engine
+        # refuses it, and the row checks Cor 3.6 against Thm 4.2 instead.
+        listing = tmp_path / "k4.g6"
+        listing.write_text("C~\n")
+        code, out, _ = run_cli(
+            ["survey", str(listing), "--max-complement-edges", "10"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "C~,4,6,0,4,0,4,2,3,pass,pass,pass,pass"
+
+    def test_exact_mycielski_check_wherever_the_engine_answers(
+        self, connected_by_n, monkeypatch
+    ):
+        # Every row asks the engine for box(M(G)); it answers at the default
+        # cap on 11 of the 995 connected graphs with 2 to 7 vertices.
+        answered = []
+        ask = cli.exact_boxicity
+
+        def counted(g, cap):
+            result = ask(g, cap)
+            answered.append(g)
+            return result
+
+        monkeypatch.setattr(cli, "exact_boxicity", counted)
+        graphs = [g for n in range(2, 8) for g in connected_by_n[n]]
+        exact_rows = 0
+        for g in graphs:
+            answered.clear()
+            assert cli.survey_row(g).all_pass(), graph6_encode(g)
+            assert answered in ([], [mycielski(g, 2)[0]])
+            exact_rows += len(answered)
+        assert (len(graphs), exact_rows) == (995, 11)
+
     def test_three_copy_mycielski_checks(self, tmp_path, graphs_by_n, capsys):
         listing = tmp_path / "corpus3.g6"
         listing.write_text(

@@ -270,10 +270,10 @@ class TestMaximalFamily:
         # large hosts. Unlike the raw digests above it does not depend on the
         # order the scan decides edges in, so a new order must keep it.
         digest = hashlib.sha256()
-        hosts = [complement(g) for n in range(1, 8) for g in graphs_by_n[n]]
-        for host in hosts + _large_hosts():
-            family, _ = engine._maximal_cointerval_family_masks(
-                host.n, host.edges(), engine.DEFAULT_COMPLEMENT_EDGE_CAP
+        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        for g in graphs + [complement(host) for host in _large_hosts()]:
+            _, _, family, _ = engine._maximal_cointerval_family_masks(
+                g, engine.DEFAULT_COMPLEMENT_EDGE_CAP
             )
             digest.update(f"{family}\n".encode())
         assert digest.hexdigest() == (
@@ -308,10 +308,8 @@ class TestMaximalFamily:
         # on the part's complement rows must agree on every family member.
         for n in range(1, 8):
             for g in graphs_by_n[n]:
-                host = complement(g)
-                edges = host.edges()
-                family, _ = engine._maximal_cointerval_family_masks(
-                    n, edges, engine.DEFAULT_COMPLEMENT_EDGE_CAP
+                _, edges, family, _ = engine._maximal_cointerval_family_masks(
+                    g, engine.DEFAULT_COMPLEMENT_EDGE_CAP
                 )
                 full = (1 << n) - 1
                 for mask in family:
@@ -470,6 +468,16 @@ class TestExactBoxicity:
             assert result.value == 1 and result.nodes_explored == 2
             assert result.certificate.parts == (result.certificate.host,)
             assert verify_cointerval_cover(g, result.certificate)
+        with pytest.raises(CapacityError, match="max-complement-edges"):
+            exact_boxicity(cycle_graph(9))
+
+    def test_refusal_builds_no_complement(self, monkeypatch):
+        # C9's 27 complement edges are counted on its own rows, so the
+        # refusal comes before the complement is built.
+        def refuse(g):
+            raise AssertionError("a refused graph had its complement built")
+
+        monkeypatch.setattr(engine, "complement", refuse)
         with pytest.raises(CapacityError, match="max-complement-edges"):
             exact_boxicity(cycle_graph(9))
 
