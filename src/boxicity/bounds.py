@@ -281,8 +281,9 @@ def compute_bounds_report(
     focal count and the complement's clique cover number are computed once.
 
     Cor 3.6 needs the exact boxicity of g, so it is left out when the engine
-    refuses g, as Thm 1.1 is left out when the colouring solver refuses the
-    graph it needs a chromatic number of."""
+    refuses g, as Thm 4.2 is left out when the edge-clique-cover solver
+    refuses the complement of g, and Thm 1.1 when the colouring solver
+    refuses the graph it needs a chromatic number of."""
     myc, _ = mycielski(g, r)
     focal = _focal_count(g)
     lower = []
@@ -295,8 +296,12 @@ def compute_bounds_report(
     lower.append((matching_lower_bound(myc), "lemma3.3"))
     upper = []
     if r == 2:
-        theta, _ = edge_clique_cover(complement(g))
-        upper.append((thm42_upper(theta, focal), "thm4.2"))
+        try:
+            theta, _ = edge_clique_cover(complement(g))
+        except CapacityError:
+            pass
+        else:
+            upper.append((thm42_upper(theta, focal), "thm4.2"))
     upper.append((myc.n // 2, "roberts-floor-n/2"))
     try:
         chi_myc = chromatic_number(g) + 1 if r == 2 else chromatic_number(myc)

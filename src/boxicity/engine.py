@@ -83,14 +83,15 @@ cover that round finds, the certificate, is the first minimum cover in that
 order. An edgeless host has the single empty maximal subset and the empty
 cover.
 
-Before any of this, ``exact_boxicity`` decides whether g is interval. If it
-is, its complement is cointerval, so it is the family's one member and the
-one-part cover (no part when g is complete): the scan does not run, so the
-complement-edge cap, which bounds the scan, does not apply, and the cover
-search over that family takes two nodes (none for a complete g). Any other g
-whose complement is over the cap is refused on its complement-edge count,
-C(n,2) - m read off g's rows, before the complement is built, so asking the
-engine costs a caller no more than predicting its refusal.
+The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
+and ``maximal_cointerval_family`` alike. It first decides whether g is
+interval. If it is, the complement is cointerval, the family's one member
+and the one-part cover (no part when g is complete): the scan, which the
+complement-edge cap bounds, does not run, and the cover search takes two
+nodes (none for a complete g). Any other g over the cap is refused on
+C(n,2) - m read off its rows before the complement is built, so asking the
+engine costs a caller no more than predicting its refusal. Only then is the
+complement built and scanned.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
@@ -203,23 +204,18 @@ class BoxicityResult:
     family_size: int
 
 
-def _maximal_cointerval_masks(
-    n: int, edges: list[tuple[int, int]]
-) -> tuple[list[int], int]:
-    """All inclusion-maximal cointerval subsets of ``edges`` on ``n`` vertices.
+def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
+    """All inclusion-maximal cointerval subsets of the host's edges.
 
-    Returns bitmasks indexed by position in ``edges`` plus the node count of
-    the scan. See the module docstring for the decision order and the
-    pruning argument.
+    Returns bitmasks indexed by position in ``host.edges()`` plus the node
+    count of the scan. See the module docstring for the decision order and
+    the pruning argument.
     """
+    n, row, edges = host.n, host.adj, host.edges()
     m = len(edges)
     full = (1 << m) - 1
     # Edges are decided vertex by vertex (see the module docstring); rank[v]
     # is v's place in the vertex order.
-    row = [0] * n
-    for a, b in edges:
-        row[a] |= 1 << b
-        row[b] |= 1 << a
     rank = [0] * n
     left = (1 << n) - 1
     for r in range(n):
@@ -407,26 +403,30 @@ def _maximal_cointerval_family_masks(
 ) -> tuple[Graph, list[tuple[int, int]], list[int], int]:
     """The complement of g as the host, its sorted edge list, the maximal
     cointerval subsets of that list as masks ordered by edge list, and the
-    scan's node count. A host over ``cap`` edges is refused from g's own
-    rows, C(n,2) - m, before it is built."""
+    scan's node count. An interval g is answered first, at any size; any
+    other g is refused over ``cap`` host edges from its own rows, C(n,2) - m,
+    before the host is built."""
+    if _is_interval_masks(g.n, g.adj):
+        host = complement(g)
+        edges = host.edges()
+        return host, edges, [(1 << len(edges)) - 1], 0
     size = g.n * (g.n - 1) // 2 - g.num_edges()
     if size > cap:
         raise CapacityError(
             f"host has {size} edges, over the cap {cap} (--max-complement-edges)"
         )
     host = complement(g)
-    edges = host.edges()
-    if not edges:
-        return host, edges, [0], 0
-    family, nodes = _maximal_cointerval_masks(g.n, edges)
+    family, nodes = _maximal_cointerval_masks(host)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=_bit_list)
-    return host, edges, family, nodes
+    return host, host.edges(), family, nodes
 
 
 def maximal_cointerval_family(host: Graph) -> list[Graph]:
     """All inclusion-maximal cointerval edge subsets of the host graph, as
-    spanning subgraphs, ordered lexicographically by sorted edge list."""
+    spanning subgraphs, ordered lexicographically by sorted edge list. A
+    cointerval host is its own one member at any size; any other host over
+    the default complement-edge cap raises ``CapacityError``."""
     _, edges, family, _ = _maximal_cointerval_family_masks(
         complement(host), DEFAULT_COMPLEMENT_EDGE_CAP
     )
@@ -493,16 +493,9 @@ def exact_boxicity(
     lossless: any part of a cover stays cointerval when replaced by a maximal
     superset from the family, and the union only grows.
     """
-    if _is_interval_masks(g.n, g.adj):
-        # The host is cointerval, so it is its own one maximal subset, at any
-        # size: the cap bounds the scan, which does not run.
-        host = complement(g)
-        edges = host.edges()
-        family, scan_nodes = [(1 << len(edges)) - 1], 0
-    else:
-        host, edges, family, scan_nodes = _maximal_cointerval_family_masks(
-            g, max_complement_edges
-        )
+    host, edges, family, scan_nodes = _maximal_cointerval_family_masks(
+        g, max_complement_edges
+    )
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     parts = tuple(

@@ -259,9 +259,10 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, tuple(rows))
 
 
-def components_from_masks(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Vertex bitmasks of connected components for a raw adjacency table."""
-    unseen = (1 << n) - 1
+def connected_components(g: Graph) -> list[int]:
+    """Vertex bitmasks of the connected components, by smallest member."""
+    adj = g.adj
+    unseen = (1 << g.n) - 1
     comps = []
     while unseen:
         start = unseen & -unseen
@@ -278,11 +279,6 @@ def components_from_masks(n: int, adj: tuple[int, ...]) -> list[int]:
         comps.append(comp)
         unseen &= ~comp
     return comps
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components, by smallest member."""
-    return components_from_masks(g.n, g.adj)
 
 
 def is_connected(g: Graph) -> bool:

@@ -60,7 +60,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, NotIntervalError, SelfCheckError
-from .graphs import Graph, _bit_list, components_from_masks
+from .graphs import Graph, _bit_list, connected_components
 
 #: An interval order on a graph's vertices (``_interval_order``): each vertex's
 #: predecessor mask, and the distinct masks as a chain sorted by size.
@@ -257,7 +257,7 @@ def _component_clique_orders(g: Graph) -> list[list[int]]:
     component (components by smallest vertex). Raises SelfCheckError when the
     clique search contradicts the decision that the graph is interval."""
     result = []
-    for comp in components_from_masks(g.n, g.adj):
+    for comp in connected_components(g):
         # An interval graph is chordal, so it has at most n maximal cliques.
         cliques = _maximal_cliques_masks(g.adj, comp, comp.bit_count())
         if cliques is None:

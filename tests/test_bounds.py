@@ -371,6 +371,31 @@ class TestBoundsReport:
         with pytest.raises(CapacityError):
             compute_bounds_report(path_graph(9), include_exact=True)
 
+    def test_over_clique_cover_cap_drops_only_thm42(self):
+        # Thm 4.2 needs the clique cover number of the complement, and the
+        # solver refuses over 40 edges. The complement of P10 has 36 edges,
+        # P11's has 45; both paths are interval and under the chromatic cap,
+        # so P11 keeps every other bound.
+        report = compute_bounds_report(path_graph(10))
+        assert report.upper == ((6, "thm4.2"), (10, "roberts-floor-n/2"), (8, "thm1.1"))
+        report = compute_bounds_report(path_graph(11))
+        assert report.lower == ((1, "cor3.6"), (1, "lemma3.3"))
+        assert report.upper == ((11, "roberts-floor-n/2"), (8, "thm1.1"))
+        # C12 (54 complement edges) is refused by the engine too, so Cor 3.6
+        # goes with Thm 4.2; P20 and the 30-leaf star are over the chromatic
+        # cap as well, so Thm 1.1 goes and Roberts' n/2 alone is left above.
+        report = compute_bounds_report(cycle_graph(12))
+        assert report.lower == ((1, "lemma3.3"),)
+        assert report.upper == ((12, "roberts-floor-n/2"), (9, "thm1.1"))
+        report = compute_bounds_report(path_graph(20))
+        assert report.lower == ((1, "cor3.6"), (1, "lemma3.3"))
+        assert report.upper == ((20, "roberts-floor-n/2"),)
+        report = compute_bounds_report(star_graph(30))
+        assert report.lower == ((2, "cor3.6"), (1, "lemma3.3"))
+        assert report.upper == ((31, "roberts-floor-n/2"),)
+        with pytest.raises(CapacityError, match="edge-clique-cover cap 40"):
+            edge_clique_cover(complement(path_graph(11)))
+
     def test_crossed_bounds_raise(self):
         with pytest.raises(SelfCheckError):
             BoundsReport("stub", ((3, "a"),), ((2, "b"),), None)

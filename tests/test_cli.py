@@ -187,6 +187,27 @@ class TestBoundsCommand:
         assert (code, out) == (3, "")
         assert err.startswith("capacity error: host has 138 edges, over the cap 24")
 
+    def test_over_clique_cover_cap_drops_only_thm42(self, capsys):
+        header = "graph6,lower,upper,exact\n"
+        # P11's complement has 45 edges, over the edge-clique-cover cap of
+        # 40, so Thm 4.2 is left out and the row keeps every other bound.
+        code, out, _ = run_cli(["bounds", "JhCGGC@?G?_"], capsys)  # P11
+        assert code == 0
+        assert out == header + "JhCGGC@?G?_,1:cor3.6;1:lemma3.3,11:roberts-floor-n/2;8:thm1.1,\n"
+        # C12 is also refused by the engine, so Cor 3.6 goes too.
+        code, out, _ = run_cli(["bounds", "KhCGGC@?G?o@"], capsys)  # C12
+        assert code == 0
+        assert out == header + "KhCGGC@?G?o@,1:lemma3.3,12:roberts-floor-n/2;9:thm1.1,\n"
+        # P20 and the 30-leaf star are over the chromatic cap as well.
+        for spec, row in (
+            ("path:20", "1:cor3.6;1:lemma3.3,20:roberts-floor-n/2,"),
+            ("star:30", "2:cor3.6;1:lemma3.3,31:roberts-floor-n/2,"),
+        ):
+            _, g6, _ = run_cli(["gen", spec], capsys)
+            code, out, _ = run_cli(["bounds", g6.strip()], capsys)
+            assert code == 0
+            assert out == header + f"{g6.strip()},{row}\n"
+
     def test_exact_flag(self, capsys):
         code, out, _ = run_cli(["bounds", "A_", "--exact"], capsys)
         assert code == 0

@@ -176,13 +176,16 @@ class TestMaximalFamily:
         def refuse(n, adj):
             raise AssertionError("the scan called the recognizer")
 
+        # The scan is called directly: the stage decides intervality first.
         for host in (cycle_graph(5), complement(cycle_graph(6))):
             want = brute_maximal_family(host)
             with monkeypatch.context() as m:
                 m.setattr(engine, "_is_interval_masks", refuse)
                 m.setattr(intervals, "_transitive_orientation", refuse)
-                family = maximal_cointerval_family(host)
-            assert sorted(p.edges() for p in family) == want
+                masks, _ = engine._maximal_cointerval_masks(host)
+            edges = host.edges()
+            family = [[edges[p] for p in range(len(edges)) if mask >> p & 1] for mask in masks]
+            assert sorted(family) == want
 
     def test_blocked_later_edges_cut_an_exclude_branch(self):
         # On the path 0-1-...-5 the scan places the vertices 0, 5, 1, 2, 3, 4,
@@ -195,7 +198,7 @@ class TestMaximalFamily:
         # with 23 out, where 45 is blocked and {12, 23, 34} holds 34. Without
         # these cuts the scan reads 27.
         host = path_graph(6)
-        assert engine._maximal_cointerval_masks(host.n, host.edges()) == ([7, 14, 28], 21)
+        assert engine._maximal_cointerval_masks(host) == ([7, 14, 28], 21)
         assert [p.edges() for p in maximal_cointerval_family(host)] == [
             [(0, 1), (1, 2), (2, 3)],
             [(1, 2), (2, 3), (3, 4)],
@@ -221,7 +224,7 @@ class TestMaximalFamily:
         for n in range(1, 8):
             for g in graphs_by_n[n]:
                 host = complement(g)
-                family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
+                family, nodes = engine._maximal_cointerval_masks(host)
                 digest.update(f"{family} {nodes}\n".encode())
         assert digest.hexdigest() == (
             "25e7b7eeba1b0e4df0a8395c944f8f9b594fc888f98ff908007b1cfc022c4a30"
@@ -233,7 +236,7 @@ class TestMaximalFamily:
         digest = hashlib.sha256()
         largest = 0
         for host in _large_hosts():
-            family, nodes = engine._maximal_cointerval_masks(host.n, host.edges())
+            family, nodes = engine._maximal_cointerval_masks(host)
             largest = max(largest, len(family))
             digest.update(f"{family} {nodes}\n".encode())
         assert largest == 64
@@ -249,7 +252,7 @@ class TestMaximalFamily:
         for n in range(1, 8):
             for g in graphs_by_n[n]:
                 host = complement(g)
-                family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
+                family, _ = engine._maximal_cointerval_masks(host)
                 digest.update(f"{family}\n".encode())
         assert digest.hexdigest() == (
             "c22902eff15fec8f75d9680acccdc6269f9b085403033cb70862c1b24ae12880"
@@ -258,7 +261,7 @@ class TestMaximalFamily:
     def test_scan_masks_digest_pinned_on_large_hosts(self):
         digest = hashlib.sha256()
         for host in _large_hosts():
-            family, _ = engine._maximal_cointerval_masks(host.n, host.edges())
+            family, _ = engine._maximal_cointerval_masks(host)
             digest.update(f"{family}\n".encode())
         assert digest.hexdigest() == (
             "d5a0244b225705640fb5ed25307d14808983e6643a3bc14d7cd17f1223ac9a6b"
@@ -324,8 +327,26 @@ class TestMaximalFamily:
                     assert cointerval == _is_interval_masks(n, co)
 
     def test_capacity_names_cap(self):
+        # The complement of C9 has 27 edges and is not cointerval, so it is
+        # refused. K8 has 28 edges but is cointerval: the stage answers it
+        # with itself before the cap applies.
         with pytest.raises(CapacityError, match="max-complement-edges"):
-            maximal_cointerval_family(complete_graph(8))
+            maximal_cointerval_family(complement(cycle_graph(9)))
+        assert maximal_cointerval_family(complete_graph(8)) == [complete_graph(8)]
+
+    def test_cointerval_host_over_the_cap_is_its_own_family(self):
+        # The same policy as exact_boxicity: a cointerval host is the one
+        # maximal subset at any size, and it is the one-part certificate of
+        # its complement.
+        for host in (
+            complete_graph(25),
+            complement(path_graph(10)),
+            complement(path_graph(64)),
+        ):
+            assert host.num_edges() > engine.DEFAULT_COMPLEMENT_EDGE_CAP
+            family = maximal_cointerval_family(host)
+            assert family == [host]
+            assert list(exact_boxicity(complement(host)).certificate.parts) == family
 
     def test_deterministic_and_sorted(self):
         host = complement(mycielski(complete_graph(3), 2)[0])
@@ -448,7 +469,7 @@ class TestExactBoxicity:
         def refuse(*args):
             raise AssertionError("an interval graph reached the scan")
 
-        monkeypatch.setattr(engine, "_maximal_cointerval_family_masks", refuse)
+        monkeypatch.setattr(engine, "_maximal_cointerval_masks", refuse)
         for g, want in zip(interval_graphs, scanned):
             result = exact_boxicity(g)
             assert result.value == want.value == (0 if g == complete_graph(g.n) else 1)
