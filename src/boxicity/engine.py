@@ -100,11 +100,12 @@ may come from outside the scan: one transitive orientation whose
 predecessor sets form a chain. Verification checks containment in the host
 and coverage on neighbour masks, and the boxes on meet masks: per
 coordinate, each vertex's mask of the vertices whose interval meets its
-own, ANDed over the coordinates and compared with g's rows. Box building
-lays out each part's complement from the interval order that verified the
-part (``intervals._order_layout``, no complement built), so
-``exact_boxicity`` and ``cover_to_box_representation`` orient each part
-once, and parts become edge text only in ``format_cover``.
+own, ANDed over the coordinates and compared with g's rows.
+``exact_boxicity`` builds no boxes: ``BoxicityResult.box_rep`` calls
+``cover_to_box_representation``, which lays out each part's complement from
+the interval order that verified the part (``intervals._order_layout``, no
+complement built), so each call orients each part once. Parts become edge
+text only in ``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -197,11 +198,17 @@ class BoxRep:
 
 @dataclass(frozen=True)
 class BoxicityResult:
+    """The boxicity, its verified certificate and the search counts. Each
+    ``box_rep`` access builds and verifies the boxes again: bind it once."""
+
     value: int
     certificate: CointervalCover
-    box_rep: BoxRep
     nodes_explored: int
     family_size: int
+
+    @property
+    def box_rep(self) -> BoxRep:
+        return cover_to_box_representation(complement(self.certificate.host), self.certificate)
 
 
 def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
@@ -447,15 +454,18 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
     """
     if universe == 0:
         return [], 0
-    total = 0
-    for s in sets:
-        total |= s
-    if universe & ~total:
+    # elem_sets[e]: the indices of the sets holding element e, in list order.
+    elem_sets: list[list[int]] = [[] for _ in range(universe.bit_length())]
+    for i, s in enumerate(sets):
+        s &= universe
+        while s:
+            low = s & -s
+            s ^= low
+            elem_sets[low.bit_length() - 1].append(i)
+    counts = [len(found) for found in elem_sets]
+    if any(universe >> e & 1 and not c for e, c in enumerate(counts)):
         raise SelfCheckError("set cover universe has an uncoverable element")
     nodes = 0
-    elem_sets = {
-        e: [i for i, s in enumerate(sets) if s >> e & 1] for e in _bit_list(universe)
-    }
     path: list[int] = []
 
     def search(rest: int, left: int) -> bool:
@@ -463,10 +473,19 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
         nodes += 1
         if not rest:
             return True
-        gain = max((s & rest).bit_count() for s in sets)
+        gain = max([(s & rest).bit_count() for s in sets])
         if -(-rest.bit_count() // gain) > left:
             return False
-        e = min(_bit_list(rest), key=lambda e: len(elem_sets[e]))
+        # Branch on the element in the fewest sets, the lowest on ties.
+        fewest, bits = len(sets) + 1, rest
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if counts[low.bit_length() - 1] < fewest:
+                e = low.bit_length() - 1
+                fewest = counts[e]
+                if fewest == 1:  # no element is in fewer sets
+                    break
         for i in elem_sets[e]:
             path.append(i)
             if search(rest & ~sets[i], left - 1):
@@ -483,11 +502,11 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
 def exact_boxicity(
     g: Graph, max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP
 ) -> BoxicityResult:
-    """Exact boxicity with a verified cointerval-cover certificate and a
-    verified box representation. Complete graphs have boxicity 0, and other
-    interval graphs 1, from the decision without the scan and at any size;
-    any other graph whose complement is over ``max_complement_edges`` raises
-    ``CapacityError``.
+    """Exact boxicity with a verified cointerval-cover certificate, from
+    which ``box_rep`` builds verified boxes on access. Complete graphs have
+    boxicity 0, and other interval graphs 1, from the decision without the
+    scan and at any size; any other graph whose complement is over
+    ``max_complement_edges`` raises ``CapacityError``.
 
     Restricting the cover search to inclusion-maximal cointerval subsets is
     lossless: any part of a cover stays cointerval when replaced by a maximal
@@ -503,20 +522,17 @@ def exact_boxicity(
         for i in chosen
     )
     cover = CointervalCover(host, parts)
-    orders = _self_check(g, cover, len(parts))
-    rep = _cover_to_box_rep(g, orders)
-    return BoxicityResult(len(parts), cover, rep, scan_nodes + cover_nodes, len(family))
+    _self_check(g, cover, len(parts))
+    return BoxicityResult(len(parts), cover, scan_nodes + cover_nodes, len(family))
 
 
-def _self_check(g: Graph, cover: CointervalCover, value: int) -> list[IntervalOrder]:
-    """Verify the engine's certificate and its part count, and return each
-    part's interval order for box building."""
-    verdict, orders = _cover_orders(g, cover)
+def _self_check(g: Graph, cover: CointervalCover, value: int) -> None:
+    """Verify the engine's certificate and its part count."""
+    verdict = verify_cointerval_cover(g, cover)
     if not verdict:
         raise SelfCheckError(f"engine certificate failed verification: {verdict.reason}")
     if len(cover.parts) != value:
         raise SelfCheckError("engine certificate part count mismatch")
-    return orders
 
 
 def verify_cointerval_cover(g: Graph, cover: CointervalCover) -> Verdict:
@@ -632,6 +648,16 @@ def matching_bound_detail(g: Graph) -> tuple[int, str]:
     for u, v in comp_edges:
         oriented.append((u, v))
         oriented.append((v, u))
+    if g.n > MATCHING_EXACT_MAX_N:
+        # Keep each (a, b) with a and b unused and no complement edge a-d or
+        # c-b to a kept (c, d): compatible with every kept edge.
+        tails = heads = 0
+        for a, b in oriented:
+            ends = 1 << a | 1 << b
+            if not ((tails | heads) & ends or comp.adj[a] & heads or comp.adj[b] & tails):
+                tails |= 1 << a
+                heads |= 1 << b
+        return (tails.bit_count() + 1) // 2, "heuristic"
     k = len(oriented)
     compat = [0] * k
     for i in range(k):
@@ -644,19 +670,11 @@ def matching_bound_detail(g: Graph) -> tuple[int, str]:
                 continue
             compat[i] |= 1 << j
             compat[j] |= 1 << i
-    if g.n <= MATCHING_EXACT_MAX_N:
-        # A graph on k vertices has at most 3^(k/3) maximal cliques (Moon &
-        # Moser 1965), below this limit, so the search never returns None.
-        cliques = _maximal_cliques_masks(compat, (1 << k) - 1, 3 ** (k // 3 + 1))
-        best = max(c.bit_count() for c in cliques)
-        return (best + 1) // 2, "exact"
-    chosen = 0
-    count = 0
-    for i in range(k):
-        if chosen & ~compat[i] == 0:
-            chosen |= 1 << i
-            count += 1
-    return (count + 1) // 2, "heuristic"
+    # A graph on k vertices has at most 3^(k/3) maximal cliques (Moon &
+    # Moser 1965), below this limit, so the search never returns None.
+    cliques = _maximal_cliques_masks(compat, (1 << k) - 1, 3 ** (k // 3 + 1))
+    best = max(c.bit_count() for c in cliques)
+    return (best + 1) // 2, "exact"
 
 
 def pair_lower_bound(g: Graph, h1: Iterable[int], h2: Iterable[int]) -> int:

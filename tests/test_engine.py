@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from boxicity.errors import CapacityError
+from boxicity.bounds import chromatic_boxicity_check, compute_bounds_report
+from boxicity.cli import survey_row
+from boxicity.errors import CapacityError, SelfCheckError
 from boxicity.generators import (
     complete_graph,
     complete_multipartite,
@@ -492,6 +495,10 @@ class TestExactBoxicity:
         with pytest.raises(CapacityError, match="max-complement-edges"):
             exact_boxicity(cycle_graph(9))
 
+    def test_uncoverable_universe_is_refused(self):
+        with pytest.raises(SelfCheckError, match="uncoverable"):
+            engine._minimum_cover(0b111, [0b011, 0b001])
+
     def test_refusal_builds_no_complement(self, monkeypatch):
         # C9's 27 complement edges are counted on its own rows, so the
         # refusal comes before the complement is built.
@@ -510,13 +517,20 @@ class TestExactBoxicity:
 
 class TestOneOrientation:
     """The interval order that decides a cover part cointerval is the one its
-    coordinate of the boxes is laid out from: each part is oriented once."""
+    coordinate of the boxes is laid out from: ``exact_boxicity`` orients each
+    part once, and each ``box_rep`` access orients each part once more."""
 
     def test_exact_boxicity(self, orientation_calls):
         # One for the interval decision on C8, which is not interval, and
         # one per certificate part.
         result = exact_boxicity(cycle_graph(8))
         assert len(orientation_calls) == len(result.certificate.parts) + 1 == 3
+
+    def test_each_box_rep_access(self, orientation_calls):
+        result = exact_boxicity(cycle_graph(8))
+        orientation_calls.clear()
+        assert result.box_rep == result.box_rep
+        assert len(orientation_calls) == 2 * len(result.certificate.parts) == 4
 
     def test_cover_to_box_representation(self, orientation_calls):
         g = cycle_graph(8)
@@ -525,6 +539,41 @@ class TestOneOrientation:
         rep = cover_to_box_representation(g, cover)
         assert verify_box_representation(g, rep)
         assert len(orientation_calls) == len(cover.parts) == 2
+
+
+class TestBoxesOnDemand:
+    """A result keeps its certificate, not its boxes: ``box_rep`` builds and
+    verifies them on each access, and a request for values builds none."""
+
+    def test_box_rep_is_not_stored(self):
+        assert "box_rep" not in {f.name for f in dataclasses.fields(engine.BoxicityResult)}
+
+    def test_value_requests_build_no_boxes(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError("a value request built a box representation")
+
+        monkeypatch.setattr(engine, "_order_layout", refuse)
+        for g in (cycle_graph(4), path_graph(4), complete_graph(3)):
+            assert survey_row(g).all_pass()
+            assert compute_bounds_report(g, include_exact=True).exact is not None
+            assert chromatic_boxicity_check(g).ok
+        assert pair_lower_bound(complete_multipartite([2] * 4), [0, 1, 2, 3], [4, 5, 6, 7]) == 4
+        with pytest.raises(AssertionError, match="value request"):
+            exact_boxicity(cycle_graph(5)).box_rep
+
+    def test_box_rep_is_the_certificate_boxes_on_corpus(self, graphs_by_n):
+        # The layouts are pinned: building boxes on access moved no interval.
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                result = exact_boxicity(g)
+                rep = result.box_rep
+                assert verify_box_representation(g, rep)
+                assert rep == cover_to_box_representation(g, result.certificate)
+                digest.update(f"{rep.dimension} {rep.boxes}\n".encode())
+        assert digest.hexdigest() == (
+            "4c62ee78f91854810fa9c55817d83ddcacd922c5e7a24b347ea872ee01908859"
+        )
 
 
 class TestVerifyCover:

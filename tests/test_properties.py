@@ -1,11 +1,11 @@
 """Property tests: the subset scan against the brute-force family, the
-minimum cover search against a brute-force minimum, the graph6 and
-certificate text formats against their parsers, the graph symmetry check
-against single-bit flips, the support-reduced cointerval decision against
-the full-width one and against the independent oracle, the box verifier
-against the pairwise check, the oracle's asteroidal-triple test against its
-definition, and interval layouts and transitive orientations against their
-definitions."""
+minimum cover search against a brute-force minimum and against its plain
+form's path and node count, the graph6 and certificate text formats against
+their parsers, the graph symmetry check against single-bit flips, the
+support-reduced cointerval decision against the full-width one and against
+the independent oracle, the box verifier against the pairwise check, the
+oracle's asteroidal-triple test against its definition, and interval layouts
+and transitive orientations against their definitions."""
 
 import itertools
 
@@ -142,6 +142,46 @@ def test_minimum_cover_matches_brute_minimum(instance):
         )
     )
     assert len(chosen) == brute
+
+
+def reference_minimum_cover(universe, sets):
+    """The cover search in its plain form: the same rounds, cut and set
+    order, with the branching element found by ``min`` over the uncovered
+    elements (fewest sets, the lowest on ties)."""
+    if universe == 0:
+        return [], 0
+    holders = {e: [i for i, s in enumerate(sets) if s >> e & 1] for e in range(12)}
+    path, nodes = [], 0
+
+    def search(rest, left):
+        nonlocal nodes
+        nodes += 1
+        if not rest:
+            return True
+        gain = max((s & rest).bit_count() for s in sets)
+        if -(-rest.bit_count() // gain) > left:
+            return False
+        uncovered = [e for e in range(12) if rest >> e & 1]
+        for i in holders[min(uncovered, key=lambda e: len(holders[e]))]:
+            path.append(i)
+            if search(rest & ~sets[i], left - 1):
+                return True
+            path.pop()
+        return False
+
+    k = 1
+    while not search(universe, k):
+        k += 1
+    return path, nodes
+
+
+@settings(FIXED, max_examples=300)
+@given(cover_instances())
+def test_minimum_cover_takes_the_reference_path(instance):
+    # Same first minimum cover and same node count as the plain search: the
+    # certificate and ``nodes_explored`` depend on both.
+    universe, sets = instance
+    assert _minimum_cover(universe, sets) == reference_minimum_cover(universe, sets)
 
 
 @settings(FIXED, max_examples=200)
