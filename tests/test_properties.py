@@ -150,7 +150,8 @@ def reference_minimum_cover(universe, sets):
     elements (fewest sets, the lowest on ties)."""
     if universe == 0:
         return [], 0
-    holders = {e: [i for i, s in enumerate(sets) if s >> e & 1] for e in range(12)}
+    width = universe.bit_length()
+    holders = {e: [i for i, s in enumerate(sets) if s >> e & 1] for e in range(width)}
     path, nodes = [], 0
 
     def search(rest, left):
@@ -161,7 +162,7 @@ def reference_minimum_cover(universe, sets):
         gain = max((s & rest).bit_count() for s in sets)
         if -(-rest.bit_count() // gain) > left:
             return False
-        uncovered = [e for e in range(12) if rest >> e & 1]
+        uncovered = [e for e in range(width) if rest >> e & 1]
         for i in holders[min(uncovered, key=lambda e: len(holders[e]))]:
             path.append(i)
             if search(rest & ~sets[i], left - 1):
