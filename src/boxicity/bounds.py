@@ -40,7 +40,7 @@ DEFAULT_CLIQUE_COVER_EDGE_CAP = 40
 DEFAULT_CHROMATIC_MAX_N = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CliqueCover:
     """A family of cliques of ``host`` covering all of its edges."""
 
@@ -187,7 +187,7 @@ def mycielski_upper_bound(g: Graph) -> int:
     return thm42_upper(theta, _focal_count(g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultipartiteMycielskiBounds:
     lower: int
     upper: int
@@ -215,7 +215,7 @@ def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielski
     return MultipartiteMycielskiBounds(lower, upper, exact)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChromaticBoxicityCheck:
     """Instantiation of the boxicity-chromatic inequality on one graph:
     writing boxicity as n/2 - s with s >= 0, the chromatic number must be at
@@ -243,7 +243,7 @@ def chromatic_boxicity_check(
     return ChromaticBoxicityCheck(chi >= required, g.n, box, chi, s, required)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Bounds on the boxicity of the Mycielski graph of the reported graph.
 

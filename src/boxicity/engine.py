@@ -8,9 +8,14 @@ whose intersection graph is g.
 
 Search architecture
 -------------------
-``maximal_cointerval_family`` scans the subsets of the host's edge set.
-Cointervality is not monotone under adding or removing edges, so partial
-subsets cannot be pruned on cointervality itself; instead the scan walks an
+The family of inclusion-maximal cointerval subsets of the host's edges comes
+from one of two exact methods, a subset scan or a prefix DP, chosen by the
+host's density (see the stage below).
+
+The subset scan ``_maximal_cointerval_masks`` walks the subsets of the
+host's edge set. Cointervality is not monotone under adding or removing
+edges, so partial subsets cannot be pruned on cointervality itself; instead
+the scan walks an
 include-first binary decision tree over edges and prunes on three exact
 grounds. The first two make every leaf cointerval without a test: a graph
 is cointerval iff it has no induced pair of independent edges (the
@@ -83,15 +88,48 @@ cover that round finds, the certificate, is the first minimum cover in that
 order. An edgeless host has the single empty maximal subset and the empty
 cover.
 
+The prefix DP ``_prefix_dp_masks`` builds the same family from g's vertex
+orders. A set S of host edges is cointerval exactly when g plus the host
+edges outside S is interval, so the maximal S are the host edges that the
+minimal interval completions of g leave out (Heggernes, Suchan, Todinca &
+Villanger 2007). Each vertex order gives an interval completion: place the
+vertices in order, and when v is placed after the prefix P, join v to every
+u in P that still has a g-neighbour outside P. g plus that fill is the
+intersection graph of the intervals from each vertex's place to its last
+g-neighbour's. Every interval supergraph of g holds the completion of its
+own left-endpoint order, because an interval that starts before v and meets
+one that starts after v holds v's left endpoint; so the minimal fills over
+all orders are exactly the minimal completions. The fill of a step depends
+only on (P, v), and a smaller fill at P stays smaller after any
+continuation, so the DP keeps, for each prefix P, the inclusion-minimal
+fills of the orders of P, one layer of prefixes per size (the
+vertex-ordering DP of Bodlaender, Fomin, Koster, Kratsch & Thilikos 2012);
+at P = V it holds exactly the minimal fills, and each member is the host's
+edges less one of them. Universal vertices of g take no fill and add none,
+so they start in every prefix. The DP's nodes are its (prefix, vertex)
+steps, s * 2^(s-1) over the host's s non-isolated vertices; it loops layer
+by layer, with no recursion.
+
 The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
 and ``maximal_cointerval_family`` alike. It first decides whether g is
 interval. If it is, the complement is cointerval, the family's one member
-and the one-part cover (no part when g is complete): the scan, which the
-complement-edge cap bounds, does not run, and the cover search takes two
-nodes (none for a complete g). Any other g over the cap is refused on
+and the one-part cover (no part when g is complete): neither family method
+runs, so the complement-edge cap does not apply, and the cover search takes
+two nodes (none for a complete g). Any other g over the cap is refused on
 C(n,2) - m read off its rows before the complement is built, so asking the
 engine costs a caller no more than predicting its refusal. Only then is the
-complement built and scanned.
+complement built. A host with m edges on s non-isolated vertices goes to the
+prefix DP when 10 * m >= 22 * s and s is at most ``DP_MAX_VERTICES``, which
+bounds the DP's 2^s prefixes, and to the subset scan otherwise. The
+DP's time is set by 2^s, the scan's by the branches its prunes leave, which
+grow with the host's density. On the benchmark's ``box-hard`` hosts the DP
+builds the family faster from about m = 2.1 s on; the rule keeps a margin
+on the scan's side, where a sparse host costs the DP its 2^s prefixes in
+full (on the host P16 the scan takes under 1 ms, the DP 0.6 s, on a 2-core
+x86 VM). Both
+methods return masks over the host's sorted edge list, which the stage
+sorts, so the family, the cover and the certificate are the same whichever
+runs; only the node count differs.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
@@ -144,12 +182,16 @@ from .intervals import (
 #: (CLI flag ``--max-complement-edges``).
 DEFAULT_COMPLEMENT_EDGE_CAP = 24
 
+#: Most non-isolated host vertices the prefix DP takes: it keeps up to 2^s
+#: prefixes, so a larger host goes to the subset scan whatever its density.
+DP_MAX_VERTICES = 16
+
 #: Largest vertex count for which the matching lower bound search is exact;
 #: above it a greedy extension is used (still a valid lower bound).
 MATCHING_EXACT_MAX_N = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CointervalCover:
     """A family of cointerval spanning subgraphs of ``host`` covering its
     edges; host is the complement of the graph whose boxicity is certified.
@@ -188,7 +230,7 @@ def _compare_edge_lists(p: Graph, q: Graph) -> int:
 _EDGE_LIST_ORDER = cmp_to_key(_compare_edge_lists)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxRep:
     """Per-vertex boxes: ``dimension`` closed integer intervals per vertex."""
 
@@ -196,7 +238,7 @@ class BoxRep:
     boxes: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxicityResult:
     """The boxicity, its verified certificate and the search counts. Each
     ``box_rep`` access builds and verifies the boxes again: bind it once."""
@@ -405,14 +447,62 @@ def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
     return out, nodes
 
 
+def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
+    """All inclusion-maximal cointerval subsets of the host's edges, the
+    complement of g, as the host edges left out by g's minimal interval
+    completions: a prefix DP over g's vertex orders.
+
+    Returns bitmasks indexed by position in ``host.edges()``, in no fixed
+    order, plus the number of (prefix, vertex) steps. See the module
+    docstring for the fill rule and why the family is exact.
+    """
+    n, row = g.n, g.adj
+    edges = host.edges()
+    # bit[u][v]: host edge uv's bit in the edge list, 0 when uv is a g-edge.
+    bit = [[0] * n for _ in range(n)]
+    for p, (u, v) in enumerate(edges):
+        bit[u][v] = bit[v][u] = 1 << p
+    live = [v for v in range(n) if host.adj[v]]
+    # Universal vertices of g add no fill and take none, so they start in
+    # every prefix; layer maps each prefix to its inclusion-minimal fills.
+    layer = {sum(1 << v for v in range(n) if not host.adj[v]): [0]}
+    steps = 0
+    for _ in live:
+        after: dict[int, list[int]] = {}
+        for prefix, fills in layer.items():
+            # Placed vertices with a g-neighbour still unplaced: their
+            # intervals reach every vertex placed from now on.
+            reach = [u for u in live if prefix >> u & 1 and row[u] & ~prefix]
+            for v in live:
+                if prefix >> v & 1:
+                    continue
+                steps += 1
+                fill_v, bit_v = 0, bit[v]
+                for u in reach:
+                    fill_v |= bit_v[u]
+                kept = after.setdefault(prefix | 1 << v, [])
+                for fill in fills:
+                    fill |= fill_v
+                    if any(old & fill == old for old in kept):
+                        continue
+                    kept[:] = [old for old in kept if old & fill != fill]
+                    kept.append(fill)
+        layer = after
+    (fills,) = layer.values()
+    full = (1 << len(edges)) - 1
+    return [full ^ fill for fill in fills], steps
+
+
 def _maximal_cointerval_family_masks(
     g: Graph, cap: int
 ) -> tuple[Graph, list[tuple[int, int]], list[int], int]:
     """The complement of g as the host, its sorted edge list, the maximal
     cointerval subsets of that list as masks ordered by edge list, and the
-    scan's node count. An interval g is answered first, at any size; any
-    other g is refused over ``cap`` host edges from its own rows, C(n,2) - m,
-    before the host is built."""
+    node count of the method that built them. An interval g is answered
+    first, at any size; any other g is refused over ``cap`` host edges from
+    its own rows, C(n,2) - m, before the host is built. A host with m edges
+    on s non-isolated vertices goes to the prefix DP when 10·m >= 22·s and
+    s <= ``DP_MAX_VERTICES``, and to the subset scan otherwise."""
     if _is_interval_masks(g.n, g.adj):
         host = complement(g)
         edges = host.edges()
@@ -423,7 +513,11 @@ def _maximal_cointerval_family_masks(
             f"host has {size} edges, over the cap {cap} (--max-complement-edges)"
         )
     host = complement(g)
-    family, nodes = _maximal_cointerval_masks(host)
+    s = sum(1 for row in host.adj if row)  # non-isolated host vertices
+    if s <= DP_MAX_VERTICES and 10 * size >= 22 * s:
+        family, nodes = _prefix_dp_masks(g, host)
+    else:
+        family, nodes = _maximal_cointerval_masks(host)
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=_bit_list)
     return host, host.edges(), family, nodes

@@ -71,7 +71,7 @@ def _check_positive(n: int) -> None:
     _check_vertex_count(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MycielskiLayout:
     """Vertex bookkeeping for the generalized Mycielski graph.
 

@@ -25,7 +25,7 @@ MAX_VERTICES = 64
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 

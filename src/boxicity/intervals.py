@@ -272,7 +272,7 @@ def _component_clique_orders(g: Graph) -> list[list[int]]:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a certificate check: ``reason`` says why it failed."""
 
@@ -314,7 +314,7 @@ def _meet_verdict(g: Graph, columns: Iterable[Sequence[tuple[int, int]]], what: 
     return Verdict(True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecognitionResult:
     """Outcome of interval recognition.
 
@@ -352,7 +352,7 @@ def is_interval(g: Graph) -> RecognitionResult:
     return RecognitionResult(True, clique_order=witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalRep:
     """Closed integer intervals, one per vertex; their intersection graph is
     the represented graph."""

@@ -209,10 +209,13 @@ class TestMaximalFamily:
         ]
 
     def test_pinned_search_counters(self):
-        # Deterministic counters are the regression signal of the scan.
+        # Deterministic counters are the regression signal of the search.
+        # C8's and M(P4)'s hosts go to the prefix DP, whose nodes are its
+        # (prefix, vertex) steps, 8 * 2^7 and 9 * 2^8, plus cover nodes;
+        # M(K5)'s host (20 edges on 11 vertices) goes to the scan.
         cases = [
-            (cycle_graph(8), 10050, 64),
-            (mycielski(path_graph(4), 2)[0], 13221, 46),
+            (cycle_graph(8), 1028, 64),
+            (mycielski(path_graph(4), 2)[0], 2310, 46),
             (mycielski(complete_graph(5), 2)[0], 2404, 20),
         ]
         for g, nodes, family_size in cases:
@@ -358,6 +361,65 @@ class TestMaximalFamily:
         assert fam1 == fam2
         keys = [p.edges() for p in fam1]
         assert keys == sorted(keys)
+
+
+class TestPrefixDP:
+    def test_matches_the_scan_on_corpus_and_large_hosts(self, graphs_by_n):
+        # Every graph with up to 7 vertices that is not interval, so the stage
+        # builds a family for it, and the complements of the large hosts, all
+        # but one of which (random host 15, 21 edges) are not interval.
+        corpus = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        large = [complement(host) for host in _large_hosts()]
+        checked = 0
+        for g in corpus + large:
+            if _is_interval_masks(g.n, g.adj):
+                continue
+            host = complement(g)
+            dp, _ = engine._prefix_dp_masks(g, host)
+            scan, _ = engine._maximal_cointerval_masks(host)
+            assert sorted(dp) == sorted(scan)
+            checked += 1
+        assert checked == 747 + len(large) - 1
+
+    def test_steps_are_prefix_vertex_pairs(self):
+        # Every prefix of the s non-isolated host vertices is reached, and
+        # each takes one step per vertex outside it: s * 2^(s-1) in all. The
+        # universal vertex of C5 plus an apex adds none.
+        apex = join(cycle_graph(5), complete_graph(1))
+        for g, steps in ((cycle_graph(5), 80), (apex, 80), (cycle_graph(8), 1024)):
+            assert engine._prefix_dp_masks(g, complement(g))[1] == steps
+
+    def test_dense_hosts_go_to_the_dp_and_sparse_ones_to_the_scan(self, monkeypatch):
+        calls = []
+        for name in ("_prefix_dp_masks", "_maximal_cointerval_masks"):
+            method = getattr(engine, name)
+            monkeypatch.setattr(
+                engine, name, lambda *args, n=name, f=method: calls.append(n) or f(*args)
+            )
+        cap = engine.DEFAULT_COMPLEMENT_EDGE_CAP
+        # C8's host has 20 edges on 8 vertices: 10 * 20 >= 22 * 8.
+        engine._maximal_cointerval_family_masks(cycle_graph(8), cap)
+        # The host P12 has 11 edges on 12 vertices: 10 * 11 < 22 * 12.
+        engine._maximal_cointerval_family_masks(complement(path_graph(12)), cap)
+        assert calls == ["_prefix_dp_masks", "_maximal_cointerval_masks"]
+        # Over the DP vertex limit a dense host goes to the scan too.
+        monkeypatch.setattr(engine, "DP_MAX_VERTICES", 7)
+        engine._maximal_cointerval_family_masks(cycle_graph(8), cap)
+        assert calls[2:] == ["_maximal_cointerval_masks"]
+
+    def test_raised_cap_answers_with_verified_certificates(self):
+        # Dense hosts with 35 to 44 edges, over the default cap, where the
+        # scan takes seconds: the DP answers each in well under one.
+        cases = [
+            (cycle_graph(10), 2, 430),
+            (cycle_graph(11), 2, 1551),
+            (mycielski(cycle_graph(5), 2)[0], 3, 425),
+            (mycielski(path_graph(5), 2)[0], 2, 295),
+        ]
+        for g, value, family_size in cases:
+            result = exact_boxicity(g, 60)
+            assert (result.value, result.family_size) == (value, family_size)
+            assert verify_cointerval_cover(g, result.certificate)
 
 
 class TestExactBoxicity:

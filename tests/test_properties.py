@@ -1,11 +1,11 @@
-"""Property tests: the subset scan against the brute-force family, the
-minimum cover search against a brute-force minimum and against its plain
-form's path and node count, the graph6 and certificate text formats against
-their parsers, the graph symmetry check against single-bit flips, the
-support-reduced cointerval decision against the full-width one and against
-the independent oracle, the box verifier against the pairwise check, the
-oracle's asteroidal-triple test against its definition, and interval layouts
-and transitive orientations against their definitions."""
+"""Property tests: the subset scan and the prefix DP against the brute-force
+family, the minimum cover search against a brute-force minimum and against
+its plain form's path and node count, the graph6 and certificate text
+formats against their parsers, the graph symmetry check against single-bit
+flips, the support-reduced cointerval decision against the full-width one
+and against the independent oracle, the box verifier against the pairwise
+check, the oracle's asteroidal-triple test against its definition, and
+interval layouts and transitive orientations against their definitions."""
 
 import itertools
 
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from boxicity.engine import (
     BoxRep,
     _minimum_cover,
+    _prefix_dp_masks,
     exact_boxicity,
     format_cover,
     maximal_cointerval_family,
@@ -81,6 +82,17 @@ def middle_hosts(draw):
 def test_scan_matches_brute_family_five_to_seven_vertices(host):
     fast = [p.edges() for p in maximal_cointerval_family(host)]
     assert sorted(fast) == brute_maximal_family(host)
+
+
+@settings(FIXED, max_examples=100)
+@given(st.one_of(graphs(max_n=7, max_edges=12), middle_hosts()))
+def test_prefix_dp_matches_brute_family(host):
+    # Called directly, at any density: the stage sends only dense hosts to
+    # the DP, and interval complements (one member, the host) never reach it.
+    masks, _ = _prefix_dp_masks(complement(host), host)
+    edges = host.edges()
+    family = [[e for p, e in enumerate(edges) if mask >> p & 1] for mask in masks]
+    assert sorted(family) == brute_maximal_family(host)
 
 
 @st.composite
