@@ -3,15 +3,16 @@
 The two exact solvers are iterative-deepening searches meant for desk-scale
 graphs: the minimum edge clique cover is the engine's minimum set cover over
 the maximal cliques, and the chromatic number tries k = 2, 3, ... colours.
-The Mycielski bounds are integer formulas of invariants that every calculator
-below computes from the graph itself (focal-vertex counts are always
-recomputed, never taken from a family descriptor).
+Each of the paper's three bounds is an integer formula in one function:
+Cor 3.6 in ``cor36_lower``, Thm 4.2 in ``thm42_upper`` and Thm 1.1 (boxicity
+against chromatic number) in ``thm11_upper``. Their invariants are computed
+from the graph itself (focal-vertex counts are always recomputed, never
+taken from a family descriptor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapacityError, SelfCheckError
@@ -125,7 +126,9 @@ def chromatic_number(g: Graph) -> int:
                 classes[c] ^= 1 << v
             return False
 
-        return assign(0, 0)
+        found = assign(0, 0)
+        assign = None  # assign holds itself through its cell: free it now
+        return found
 
     k = 2
     while not colorable(k):
@@ -166,6 +169,13 @@ def thm42_upper(theta: int, focal: int) -> int:
     Shared by the calculator and the survey checks so the condition cannot
     drift."""
     return theta + (focal + 1) // 2 + (1 if focal and focal % 2 == 0 else 0)
+
+
+def thm11_upper(n: int, chi: int) -> int:
+    """Thm 1.1: a graph on n vertices with chromatic number chi has boxicity
+    at most n/2 - n/(2 chi) + 1, rounded down. Written as box = n/2 - s with
+    chi >= n/(2s+2), it rearranges to this; integer arithmetic throughout."""
+    return (n * chi - n + 2 * chi) // (2 * chi)
 
 
 def mycielski_lower_bound(
@@ -213,34 +223,6 @@ def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielski
     upper = thm42_upper(box, l)
     exact = upper if lower == upper or box == 0 else None
     return MultipartiteMycielskiBounds(lower, upper, exact)
-
-
-@dataclass(frozen=True, slots=True)
-class ChromaticBoxicityCheck:
-    """Instantiation of the boxicity-chromatic inequality on one graph:
-    writing boxicity as n/2 - s with s >= 0, the chromatic number must be at
-    least n/(2s+2)."""
-
-    ok: bool
-    n: int
-    box: int
-    chi: int
-    s: Fraction
-    required_chi: Fraction
-
-
-def chromatic_boxicity_check(
-    g: Graph, max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP
-) -> ChromaticBoxicityCheck:
-    box = exact_boxicity(g, max_complement_edges).value
-    chi = chromatic_number(g)
-    s = Fraction(g.n, 2) - box
-    if s < 0:
-        raise SelfCheckError(
-            f"boxicity {box} exceeds n/2 for n={g.n}; the engine is broken"
-        )
-    required = Fraction(g.n) / (2 * s + 2)
-    return ChromaticBoxicityCheck(chi >= required, g.n, box, chi, s, required)
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,10 +290,7 @@ def compute_bounds_report(
     except CapacityError:
         pass
     else:
-        # box = n/2 - s and chi >= n/(2s+2) rearrange to
-        # box <= n/2 - n/(2 chi) + 1.
-        bound = Fraction(myc.n, 2) - Fraction(myc.n, 2 * chi_myc) + 1
-        upper.append((int(bound), "thm1.1"))
+        upper.append((thm11_upper(myc.n, chi_myc), "thm1.1"))
     exact = None
     if include_exact:
         exact = exact_boxicity(myc, max_complement_edges).value

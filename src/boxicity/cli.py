@@ -19,11 +19,11 @@ from operator import attrgetter
 
 from .bounds import (
     _focal_count,
-    chromatic_boxicity_check,
     chromatic_number,
     compute_bounds_report,
     cor36_lower,
     edge_clique_cover,
+    thm11_upper,
     thm42_upper,
 )
 from .constructions import _mycielski_cover, complete_mycielski_cover, mycielski_cover
@@ -157,18 +157,27 @@ class SurveyRow:
 
 def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyRow:
     """One survey row: exact invariants of g plus empirical verification of
-    the Mycielski bounds, the boxicity-chromatic inequality and the chromatic
-    step. Each invariant of g is computed once and shared by the checks, and
-    the Mycielski graph is built once and handed to the cover construction.
+    the Mycielski bounds, the boxicity-chromatic inequality (Thm 1.1) and the
+    chromatic step. Each invariant of g is computed once and shared by the
+    checks: g's complement is built once, as the engine's certificate host,
+    which the clique cover reads, and the Mycielski graph is built once and
+    handed to the cover construction.
 
     The Mycielski lower bound is checked directly against an exact engine run
     whenever the engine answers under ``cap``, and against the Thm 4.2 upper
     bound (Roberts' n/2 for r > 2) when it refuses: crossed bounds would
-    falsify one of the theorems.
+    falsify one of the theorems. Against an exact run, ``lb <= myc_box`` also
+    shows that the boxicity grows when g has a focal vertex, since lb is then
+    at least box + 1.
     """
-    check = chromatic_boxicity_check(g, cap)
-    box, chi = check.box, check.chi
-    theta, clique_cover = edge_clique_cover(complement(g))
+    result = exact_boxicity(g, cap)
+    box = result.value
+    chi = chromatic_number(g)
+    if box > g.n // 2:  # Roberts 1969: boxicity is at most n/2
+        raise SelfCheckError(
+            f"boxicity {box} exceeds n/2 for n={g.n}; the engine is broken"
+        )
+    theta, clique_cover = edge_clique_cover(result.certificate.host)
     focal = _focal_count(g)
     lb = cor36_lower(box, focal)
     ub = thm42_upper(theta, focal)
@@ -180,7 +189,7 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     except CapacityError:
         ok_cor36 = lb <= (ub if r == 2 else myc.n // 2)
     else:
-        ok_cor36 = lb <= myc_box and (focal == 0 or myc_box > box)
+        ok_cor36 = lb <= myc_box
 
     try:
         ok_thm42 = len(_mycielski_cover(g, clique_cover, m2).parts) <= ub
@@ -201,7 +210,7 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
         ub,
         ok_cor36,
         ok_thm42,
-        check.ok,
+        box <= thm11_upper(g.n, chi),
         ok_chi,
     )
 

@@ -101,7 +101,9 @@ def _maps_onto(
                     return True
         return False
 
-    return place(0, 0, 0)
+    found = place(0, 0, 0)
+    place = None  # place holds itself through its cell: free it now
+    return found
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

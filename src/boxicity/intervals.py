@@ -106,7 +106,9 @@ def _maximal_cliques_masks(
             x |= low
         return True
 
-    return cliques if expand(0, within, 0) else None
+    complete = expand(0, within, 0)
+    expand = None  # expand holds itself through its cell: free it now
+    return cliques if complete else None
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -142,7 +144,9 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
             order.pop()
         return False
 
-    return order if extend(0, 0, 0) else None
+    placed = extend(0, 0, 0)
+    extend = None  # extend holds itself through its cell: free it now
+    return order if placed else None
 
 
 def _decide(n: int, adj: tuple[int, ...]) -> tuple[str | None, IntervalOrder | None]:

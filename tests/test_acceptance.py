@@ -7,11 +7,11 @@ Each test prints a single pass line on success (visible with -s or -rA;
 import time
 
 from boxicity.bounds import (
-    chromatic_boxicity_check,
     chromatic_number,
     edge_clique_cover,
     mycielski_kn_boxicity,
     mycielski_lower_bound,
+    thm11_upper,
 )
 from boxicity.constructions import mycielski_cover
 from boxicity.engine import exact_boxicity, verify_cointerval_cover
@@ -135,11 +135,12 @@ def test_criterion_09_chromatic_boxicity_inequality(graphs_by_n):
     count = 0
     for n in range(1, 7):
         for g in graphs_by_n[n]:
-            assert chromatic_boxicity_check(g).ok
+            assert exact_boxicity(g).value <= thm11_upper(g.n, chromatic_number(g))
             count += 1
     assert count == 208
-    tight = chromatic_boxicity_check(complete_multipartite([2, 2, 2]))
-    assert tight.ok and tight.s == 0 and tight.chi == 3 == tight.required_chi
+    tight = complete_multipartite([2, 2, 2])
+    assert chromatic_number(tight) == 3
+    assert exact_boxicity(tight).value == 3 == thm11_upper(6, 3)
     report(9, f"boxicity-chromatic inequality on all {count} graphs n<=6 incl. tight case", started)
 
 

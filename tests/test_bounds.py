@@ -21,7 +21,6 @@ from boxicity.engine import exact_boxicity
 from boxicity.bounds import (
     BoundsReport,
     CliqueCover,
-    chromatic_boxicity_check,
     chromatic_number,
     compute_bounds_report,
     edge_clique_cover,
@@ -29,6 +28,7 @@ from boxicity.bounds import (
     mycielski_kn_boxicity,
     mycielski_lower_bound,
     mycielski_upper_bound,
+    thm11_upper,
     verify_clique_cover,
 )
 
@@ -310,21 +310,37 @@ class TestMultipartiteBounds:
             multipartite_mycielski_bounds([2, 0])
 
 
+def thm11_holds(g):
+    return exact_boxicity(g).value <= thm11_upper(g.n, chromatic_number(g))
+
+
 class TestChromaticBoxicity:
     def test_tight_octahedron(self):
-        check = chromatic_boxicity_check(complete_multipartite([2, 2, 2]))
-        assert check.ok
-        assert check.s == 0 and check.required_chi == 3 and check.chi == 3
+        g = complete_multipartite([2, 2, 2])
+        assert chromatic_number(g) == 3
+        assert exact_boxicity(g).value == 3 == thm11_upper(6, 3)
 
     def test_complete(self):
-        check = chromatic_boxicity_check(complete_graph(4))
-        assert check.ok
-        assert check.s == 2 and check.required_chi == Fraction(4, 6)
+        g = complete_graph(4)
+        assert chromatic_number(g) == 4 and thm11_upper(4, 4) == 2
+        assert thm11_holds(g)
 
     def test_small_corpus(self, graphs_by_n):
         for n in range(1, 5):
             for g in graphs_by_n[n]:
-                assert chromatic_boxicity_check(g).ok
+                assert thm11_holds(g)
+
+    def test_thm11_upper_matches_fraction_reference(self):
+        # The integer formula against the two rational readings of Thm 1.1:
+        # the floor of n/2 - n/(2 chi) + 1, and chi >= n/(2s+2) for a
+        # boxicity n/2 - s with s >= 0.
+        for n in range(1, 65):
+            for chi in range(1, n + 1):
+                bound = thm11_upper(n, chi)
+                assert bound == int(Fraction(n, 2) - Fraction(n, 2 * chi) + 1)
+                for box in range(n // 2 + 1):
+                    s = Fraction(n, 2) - box
+                    assert (box <= bound) == (chi >= Fraction(n) / (2 * s + 2))
 
 
 class TestBoundsReport:

@@ -1,9 +1,13 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
 from collections import Counter
 
-from boxicity import bounds, cli, constructions, intervals
+import pytest
+
+from boxicity import bounds, cli, constructions, engine, intervals
+from boxicity.errors import SelfCheckError
 from boxicity.generators import (
     complete_graph,
     cycle_graph,
@@ -335,8 +339,9 @@ class TestSurvey:
     def test_exact_mycielski_check_wherever_the_engine_answers(
         self, connected_by_n, monkeypatch
     ):
-        # Every row asks the engine for box(M(G)); it answers at the default
-        # cap on 11 of the 995 connected graphs with 2 to 7 vertices.
+        # Every row asks the engine for box(G), then for box(M(G)); the
+        # second is answered at the default cap on 11 of the 995 connected
+        # graphs with 2 to 7 vertices.
         answered = []
         ask = cli.exact_boxicity
 
@@ -351,8 +356,8 @@ class TestSurvey:
         for g in graphs:
             answered.clear()
             assert cli.survey_row(g).all_pass(), graph6_encode(g)
-            assert answered in ([], [mycielski(g, 2)[0]])
-            exact_rows += len(answered)
+            assert answered in ([g], [g, mycielski(g, 2)[0]])
+            exact_rows += len(answered) - 1
         assert (len(graphs), exact_rows) == (995, 11)
 
     def test_three_copy_mycielski_checks(self, tmp_path, graphs_by_n, capsys):
@@ -379,7 +384,9 @@ class TestSurvey:
     def test_each_invariant_computed_once_per_row(self, connected_by_n, monkeypatch):
         """Invariants and Mycielski builds are counted across modules: the
         row builds the Mycielski graph once and hands it to the cover
-        construction."""
+        construction, and builds g's complement once, in the engine, whose
+        certificate host the clique cover reads. (M(G)'s complement is
+        built by both the engine and the cover construction.)"""
         calls = Counter()
 
         def counting(key, fn):
@@ -390,16 +397,38 @@ class TestSurvey:
             return wrapped
 
         names = ("exact_boxicity", "chromatic_number", "edge_clique_cover", "mycielski")
-        for module in (cli, bounds, constructions):
-            for name in names:
+        for module in (cli, bounds, constructions, engine):
+            for name in names + ("complement",):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         for n in range(1, 6):
             for g in connected_by_n[n]:
                 calls.clear()
                 assert cli.survey_row(g).all_pass()
-                repeated = [key for key, count in calls.items() if count > 1]
+                repeated = [
+                    key for key, count in calls.items() if count > 1 and key[0] in names
+                ]
                 assert not repeated, f"{graph6_encode(g)}: {repeated}"
+                assert calls["complement", g] == 1, graph6_encode(g)
+
+    def test_roberts_self_check(self, tmp_path, capsys, monkeypatch):
+        """A boxicity above n/2 (Roberts 1969) can only come from a broken
+        engine: the row raises, and the command exits 4."""
+        real = cli.exact_boxicity
+
+        def broken(g, *args):
+            result = real(g, *args)
+            return dataclasses.replace(result, value=g.n // 2 + 1)
+
+        monkeypatch.setattr(cli, "exact_boxicity", broken)
+        message = "boxicity 3 exceeds n/2 for n=5; the engine is broken"
+        with pytest.raises(SelfCheckError, match=f"^{message}$"):
+            cli.survey_row(cycle_graph(5))
+        listing = tmp_path / "c5.g6"
+        listing.write_text(graph6_encode(cycle_graph(5)) + "\n")
+        code, out, err = run_cli(["survey", str(listing)], capsys)
+        assert (code, out) == (4, cli.SURVEY_HEADER + "\n")
+        assert err == f"self-check failure (bug): {message}\n"
 
     def test_oversized_mycielski_graph_refused_before_output(self, tmp_path, capsys):
         # Nine copies of K2 give 19 vertices, of C8 73: the second graph is

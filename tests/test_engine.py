@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from boxicity.bounds import chromatic_boxicity_check, compute_bounds_report
+from boxicity.bounds import chromatic_number, compute_bounds_report, thm11_upper
 from boxicity.cli import survey_row
+from boxicity.corpus import are_isomorphic
 from boxicity.errors import CapacityError, SelfCheckError
 from boxicity.generators import (
     complete_graph,
@@ -603,6 +605,35 @@ class TestOneOrientation:
         assert len(orientation_calls) == len(cover.parts) == 2
 
 
+class TestNoCyclicGarbage:
+    """The recursive searches are closures that hold themselves through
+    their cells; each drops that reference when its outermost call returns,
+    so a call's search state is freed at once, not by the cycle collector."""
+
+    CALLS = {
+        # K_{2,2,2,2}'s host is a perfect matching (4 edges on 8 vertices,
+        # the subset scan); C8's has 20 edges on 8 vertices (the prefix DP).
+        "scan": lambda: exact_boxicity(complete_multipartite([2, 2, 2, 2])),
+        "prefix DP": lambda: exact_boxicity(cycle_graph(8)),
+        "survey row": lambda: survey_row(cycle_graph(7)),
+        "is_interval": lambda: intervals.is_interval(path_graph(6)),
+        "chromatic_number": lambda: chromatic_number(cycle_graph(7)),
+        "are_isomorphic": lambda: are_isomorphic(cycle_graph(7), cycle_graph(7)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_call_leaves_no_cycles(self, name):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            self.CALLS[name]()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestBoxesOnDemand:
     """A result keeps its certificate, not its boxes: ``box_rep`` builds and
     verifies them on each access, and a request for values builds none."""
@@ -618,7 +649,7 @@ class TestBoxesOnDemand:
         for g in (cycle_graph(4), path_graph(4), complete_graph(3)):
             assert survey_row(g).all_pass()
             assert compute_bounds_report(g, include_exact=True).exact is not None
-            assert chromatic_boxicity_check(g).ok
+            assert exact_boxicity(g).value <= thm11_upper(g.n, chromatic_number(g))
         assert pair_lower_bound(complete_multipartite([2] * 4), [0, 1, 2, 3], [4, 5, 6, 7]) == 4
         with pytest.raises(AssertionError, match="value request"):
             exact_boxicity(cycle_graph(5)).box_rep
