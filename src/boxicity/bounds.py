@@ -260,7 +260,9 @@ def compute_bounds_report(
 ) -> BoundsReport:
     """All applicable bounds on the boxicity of the r-copy Mycielski graph
     of g, cross-validated (crossed bounds raise, signalling a bug). Box, the
-    focal count and the complement's clique cover number are computed once.
+    focal count and the complement's clique cover number are computed once,
+    and g's complement is built once: the clique cover reads the engine's
+    certificate host, and builds it only when the engine refused g.
 
     Cor 3.6 needs the exact boxicity of g, so it is left out when the engine
     refuses g, as Thm 4.2 is left out when the edge-clique-cover solver
@@ -269,17 +271,19 @@ def compute_bounds_report(
     myc, _ = mycielski(g, r)
     focal = _focal_count(g)
     lower = []
+    host = None
     try:
-        box = exact_boxicity(g, max_complement_edges).value
+        result = exact_boxicity(g, max_complement_edges)
     except CapacityError:
         pass
     else:
-        lower.append((cor36_lower(box, focal), "cor3.6"))
+        host = result.certificate.host
+        lower.append((cor36_lower(result.value, focal), "cor3.6"))
     lower.append((matching_lower_bound(myc), "lemma3.3"))
     upper = []
     if r == 2:
         try:
-            theta, _ = edge_clique_cover(complement(g))
+            theta, _ = edge_clique_cover(complement(g) if host is None else host)
         except CapacityError:
             pass
         else:

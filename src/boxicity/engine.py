@@ -108,7 +108,15 @@ at P = V it holds exactly the minimal fills, and each member is the host's
 edges less one of them. Universal vertices of g take no fill and add none,
 so they start in every prefix. The DP's nodes are its (prefix, vertex)
 steps, s * 2^(s-1) over the host's s non-isolated vertices; it loops layer
-by layer, with no recursion.
+by layer, with no recursion. A step is bitmask work: the unplaced vertices
+are walked as bits, the placed vertices that still reach past the prefix
+form one mask, and the fill of placing v is read off the bits of that mask
+and v's host row. A prefix with one fill, the common case, extends it with
+no list built. Each successor prefix collects its candidate fills over the
+whole layer and is reduced once, at the layer's end (``_minimal_masks``):
+duplicates go, the rest are sorted by popcount, and each is kept unless a
+kept one is a subset of it. A proper subset has the smaller popcount, so a
+kept fill is never removed later.
 
 The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
 and ``maximal_cointerval_family`` alike. It first decides whether g is
@@ -123,11 +131,12 @@ prefix DP when 10 * m >= 22 * s and s is at most ``DP_MAX_VERTICES``, which
 bounds the DP's 2^s prefixes, and to the subset scan otherwise. The
 DP's time is set by 2^s, the scan's by the branches its prunes leave, which
 grow with the host's density. On the benchmark's ``box-hard`` hosts the DP
-builds the family faster from about m = 2.1 s on; the rule keeps a margin
-on the scan's side, where a sparse host costs the DP its 2^s prefixes in
-full (on the host P16 the scan takes under 1 ms, the DP 0.6 s, on a 2-core
-x86 VM). Both
-methods return masks over the host's sorted edge list, which the stage
+builds the family faster from about m = 2.0 s on (2.1 s before its steps
+ran on bitmasks); the rule keeps a margin on the scan's side, where a
+sparse host costs the DP its 2^s prefixes in full (on the host P16 the scan
+takes under 1 ms, the DP 0.5 s, on a 2-core x86 VM). The constant stays at
+22 even so: moving it would change the node count of every re-routed host.
+Both methods return masks over the host's sorted edge list, which the stage
 sorts, so the family, the cover and the certificate are the same whichever
 runs; only the node count differs.
 
@@ -455,43 +464,78 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
 
     Returns bitmasks indexed by position in ``host.edges()``, in no fixed
     order, plus the number of (prefix, vertex) steps. See the module
-    docstring for the fill rule and why the family is exact.
+    docstring for the fill rule and why the family is exact. A layer steps
+    every prefix on bitmasks, collects each successor's candidate fills and
+    reduces each list once when the layer is done; a prefix holding one fill
+    takes a fast path with no list comprehension.
     """
-    n, row = g.n, g.adj
+    n, row, hrow = g.n, g.adj, host.adj
     edges = host.edges()
     # bit[u][v]: host edge uv's bit in the edge list, 0 when uv is a g-edge.
     bit = [[0] * n for _ in range(n)]
     for p, (u, v) in enumerate(edges):
         bit[u][v] = bit[v][u] = 1 << p
-    live = [v for v in range(n) if host.adj[v]]
+    live = sum(1 << v for v in range(n) if hrow[v])
     # Universal vertices of g add no fill and take none, so they start in
     # every prefix; layer maps each prefix to its inclusion-minimal fills.
-    layer = {sum(1 << v for v in range(n) if not host.adj[v]): [0]}
+    layer = {((1 << n) - 1) ^ live: [0]}
     steps = 0
-    for _ in live:
+    for _ in range(live.bit_count()):
+        # after: each successor prefix's candidate fills, reduced once the
+        # whole layer has been stepped.
         after: dict[int, list[int]] = {}
         for prefix, fills in layer.items():
             # Placed vertices with a g-neighbour still unplaced: their
             # intervals reach every vertex placed from now on.
-            reach = [u for u in live if prefix >> u & 1 and row[u] & ~prefix]
-            for v in live:
-                if prefix >> v & 1:
-                    continue
-                steps += 1
-                fill_v, bit_v = 0, bit[v]
-                for u in reach:
-                    fill_v |= bit_v[u]
-                kept = after.setdefault(prefix | 1 << v, [])
-                for fill in fills:
-                    fill |= fill_v
-                    if any(old & fill == old for old in kept):
-                        continue
-                    kept[:] = [old for old in kept if old & fill != fill]
-                    kept.append(fill)
-        layer = after
+            reach, placed = 0, prefix & live
+            while placed:
+                low = placed & -placed
+                placed ^= low
+                if row[low.bit_length() - 1] & ~prefix:
+                    reach |= low
+            rest = live & ~prefix
+            steps += rest.bit_count()
+            single = fills[0] if len(fills) == 1 else None
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                # The fill of placing v: its host edges to reaching vertices.
+                fill_v, near, bit_v = 0, reach & hrow[v], bit[v]
+                while near:
+                    u = near & -near
+                    near ^= u
+                    fill_v |= bit_v[u.bit_length() - 1]
+                succ = prefix | low
+                cands = after.get(succ)
+                if cands is None:
+                    cands = after[succ] = []
+                if single is not None:
+                    cands.append(single | fill_v)
+                else:
+                    cands += [fill | fill_v for fill in fills]
+        layer = {prefix: _minimal_masks(cands) for prefix, cands in after.items()}
     (fills,) = layer.values()
     full = (1 << len(edges)) - 1
     return [full ^ fill for fill in fills], steps
+
+
+def _minimal_masks(masks: list[int]) -> list[int]:
+    """The inclusion-minimal masks of the list, each once, by popcount. A
+    proper subset has the smaller popcount, so after the sort each mask is
+    kept unless a mask kept before it is a subset of it, and no kept mask
+    ever needs removing."""
+    unique = set(masks)
+    if len(unique) == 1:  # the common case: every candidate the same fill
+        return list(unique)
+    kept: list[int] = []
+    for mask in sorted(unique, key=int.bit_count):
+        for old in kept:
+            if old & mask == old:
+                break
+        else:
+            kept.append(mask)
+    return kept
 
 
 def _maximal_cointerval_family_masks(

@@ -1,10 +1,11 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from boxicity import bounds
+from boxicity import bounds, constructions, engine
 from boxicity.errors import CapacityError, SelfCheckError
 from boxicity.generators import (
     complete_graph,
@@ -350,6 +351,30 @@ class TestBoundsReport:
         assert min(v for v, _ in report.upper) == 3
         tags = {tag for _, tag in report.lower} | {tag for _, tag in report.upper}
         assert tags == {"cor3.6", "lemma3.3", "thm4.2", "roberts-floor-n/2", "thm1.1"}
+
+    def test_complement_of_g_built_once(self, connected_by_n, monkeypatch):
+        """g's complement is built once per report, counted across modules:
+        by the engine as its certificate host, which the clique cover reads,
+        or, when the engine refuses g (a cap of 0), by the Thm 4.2 branch.
+        At r = 3 the engine alone needs it."""
+        calls = Counter()
+
+        def counting(fn):
+            def wrapped(g, *args, **kwargs):
+                calls[g] += 1
+                return fn(g, *args, **kwargs)
+
+            return wrapped
+
+        for module in (bounds, constructions, engine):
+            monkeypatch.setattr(module, "complement", counting(module.complement))
+        default = engine.DEFAULT_COMPLEMENT_EDGE_CAP
+        for r, cap in ((2, default), (3, default), (2, 0)):
+            for n in range(1, 7):
+                for g in connected_by_n[n]:
+                    calls.clear()
+                    compute_bounds_report(g, r, max_complement_edges=cap)
+                    assert calls[g] == 1, (r, cap, graph6_encode(g))
 
     def test_exact_inside_bounds(self, graphs_by_n):
         for g in graphs_by_n[3]:

@@ -391,6 +391,36 @@ class TestPrefixDP:
         for g, steps in ((cycle_graph(5), 80), (apex, 80), (cycle_graph(8), 1024)):
             assert engine._prefix_dp_masks(g, complement(g))[1] == steps
 
+    def test_digest_pinned(self, graphs_by_n):
+        # The sorted family and the step count on every graph with up to 7
+        # vertices and on the complements of the large hosts: a rewrite of
+        # the DP's inner loop must reach the same family in the same steps.
+        digest = hashlib.sha256()
+        graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
+        for g in graphs + [complement(host) for host in _large_hosts()]:
+            family, steps = engine._prefix_dp_masks(g, complement(g))
+            digest.update(f"{sorted(family)} {steps}\n".encode())
+        assert digest.hexdigest() == (
+            "6e140be4bb622dc9c91abdaa6020a83b7ab99e9174c9d5841f4b6e2a659c96e1"
+        )
+
+    def test_superset_candidate_before_its_subset_is_dropped(self, monkeypatch):
+        # g is the edge 0-2 and the isolated vertex 1, so the host is the path
+        # 0-1-2 (edges 01 and 12, bits 0 and 1). Prefix {0, 1} is reached first
+        # from {0}, whose vertex 0 still reaches its g-neighbour 2, so placing
+        # 1 fills 01; then from {1}, which reaches nothing: the candidates
+        # arrive as [1, 0], the superset first, and only the empty fill stays.
+        seen = []
+        real = engine._minimal_masks
+        monkeypatch.setattr(
+            engine, "_minimal_masks", lambda masks: seen.append(list(masks)) or real(masks)
+        )
+        g = Graph.from_edges(3, [(0, 2)])
+        assert engine._prefix_dp_masks(g, complement(g)) == ([3], 12)
+        assert [1, 0] in seen
+        assert real([1, 0]) == [0]
+        assert real([7, 3, 3, 5, 4]) == [4, 3]
+
     def test_dense_hosts_go_to_the_dp_and_sparse_ones_to_the_scan(self, monkeypatch):
         calls = []
         for name in ("_prefix_dp_masks", "_maximal_cointerval_masks"):

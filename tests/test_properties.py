@@ -1,11 +1,13 @@
 """Property tests: the subset scan and the prefix DP against the brute-force
-family, the minimum cover search against a brute-force minimum and against
-its plain form's path and node count, the graph6 and certificate text
-formats against their parsers, the graph symmetry check against single-bit
-flips, the support-reduced cointerval decision against the full-width one
-and against the independent oracle, the box verifier against the pairwise
-check, the oracle's asteroidal-triple test against its definition, and
-interval layouts and transitive orientations against their definitions."""
+family, the prefix DP's layer reduction against a brute-force
+inclusion-minimal filter, the minimum cover search against a brute-force
+minimum and against its plain form's path and node count, the graph6 and
+certificate text formats against their parsers, the graph symmetry check
+against single-bit flips, the support-reduced cointerval decision against
+the full-width one and against the independent oracle, the box verifier
+against the pairwise check, the oracle's asteroidal-triple test against its
+definition, and interval layouts and transitive orientations against their
+definitions."""
 
 import itertools
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from boxicity.engine import (
     BoxRep,
+    _minimal_masks,
     _minimum_cover,
     _prefix_dp_masks,
     exact_boxicity,
@@ -93,6 +96,31 @@ def test_prefix_dp_matches_brute_family(host):
     edges = host.edges()
     family = [[e for p, e in enumerate(edges) if mask >> p & 1] for mask in masks]
     assert sorted(family) == brute_maximal_family(host)
+
+
+@st.composite
+def candidate_fills(draw):
+    """A list of 6-bit masks as a DP successor's candidates arrive: some
+    masks are preceded by a proper or equal superset, some repeat, and at 6
+    bits many share a popcount."""
+    masks = []
+    for mask in draw(st.lists(st.integers(0, 63), min_size=1, max_size=12)):
+        if draw(st.booleans()):
+            masks.append(mask | draw(st.integers(0, 63)))
+        masks.append(mask)
+        if draw(st.booleans()):
+            masks.append(mask)
+    return masks
+
+
+@settings(FIXED, max_examples=300)
+@given(candidate_fills())
+def test_minimal_masks_match_brute_filter(masks):
+    minimal = _minimal_masks(masks)
+    brute = {m for m in masks if not any(o & m == o != m for o in masks)}
+    assert sorted(minimal) == sorted(brute)
+    assert len(minimal) == len(brute)
+    assert [m.bit_count() for m in minimal] == sorted(m.bit_count() for m in minimal)
 
 
 @st.composite
