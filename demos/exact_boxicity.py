@@ -27,13 +27,13 @@ for spec in ["complete:6", "path:5", "cycle:4", "multipartite:2,2,2", "cycle:6"]
 print()
 print("=== The certificate: a cointerval edge covering of the complement ===")
 c4 = cycle_graph(4)
-result = exact_boxicity(c4)
-print(format_cover(result.certificate), end="")
-print("verifies:", verify_cointerval_cover(c4, result.certificate).ok)
+cover = exact_boxicity(c4).certificate  # built from the result's masks
+print(format_cover(cover), end="")
+print("verifies:", verify_cointerval_cover(c4, cover).ok)
 
 print()
 print("=== From cover to boxes ===")
-rep = cover_to_box_representation(c4, result.certificate)
+rep = cover_to_box_representation(c4, cover)
 for v, box in enumerate(rep.boxes):
     print(f"vertex {v}: " + " x ".join(f"[{lo},{hi}]" for lo, hi in box))
 print("boxes verify:", verify_box_representation(c4, rep).ok)

@@ -159,8 +159,8 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     """One survey row: exact invariants of g plus empirical verification of
     the Mycielski bounds, the boxicity-chromatic inequality (Thm 1.1) and the
     chromatic step. Each invariant of g is computed once and shared by the
-    checks: g's complement is built once, as the engine's certificate host,
-    which the clique cover reads, and the Mycielski graph is built once and
+    checks: g's complement is built once, as the engine result's host, which
+    the clique cover reads, and the Mycielski graph is built once and
     handed to the cover construction.
 
     The Mycielski lower bound is checked directly against an exact engine run
@@ -177,7 +177,7 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
         raise SelfCheckError(
             f"boxicity {box} exceeds n/2 for n={g.n}; the engine is broken"
         )
-    theta, clique_cover = edge_clique_cover(result.certificate.host)
+    theta, clique_cover = edge_clique_cover(result.host)
     focal = _focal_count(g)
     lb = cor36_lower(box, focal)
     ub = thm42_upper(theta, focal)

@@ -115,8 +115,9 @@ and v's host row. A prefix with one fill, the common case, extends it with
 no list built. Each successor prefix collects its candidate fills over the
 whole layer and is reduced once, at the layer's end (``_minimal_masks``):
 duplicates go, the rest are sorted by popcount, and each is kept unless a
-kept one is a subset of it. A proper subset has the smaller popcount, so a
-kept fill is never removed later.
+kept one of smaller popcount is a subset of it. A proper subset has the
+smaller popcount, so a kept fill is never removed later, and fills of equal
+popcount are never compared.
 
 The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
 and ``maximal_cointerval_family`` alike. It first decides whether g is
@@ -127,15 +128,22 @@ two nodes (none for a complete g). Any other g over the cap is refused on
 C(n,2) - m read off its rows before the complement is built, so asking the
 engine costs a caller no more than predicting its refusal. Only then is the
 complement built. A host with m edges on s non-isolated vertices goes to the
-prefix DP when 10 * m >= 22 * s and s is at most ``DP_MAX_VERTICES``, which
+prefix DP when 10 * m >= 20 * s and s is at most ``DP_MAX_VERTICES``, which
 bounds the DP's 2^s prefixes, and to the subset scan otherwise. The
 DP's time is set by 2^s, the scan's by the branches its prunes leave, which
-grow with the host's density. On the benchmark's ``box-hard`` hosts the DP
-builds the family faster from about m = 2.0 s on (2.1 s before its steps
-ran on bitmasks); the rule keeps a margin on the scan's side, where a
+grow with the host's density. The constant is the measured break-even:
+summed over the 65 non-interval hosts of the benchmark's ``box-hard``
+workload, the family build is lowest at m >= 2.0 s (1.9 s routes the same
+hosts); 2.1 s costs 5-9% more, 2.2 s 32-45% more, and 1.8 s, one host more,
+1-4% more (best of 5 per host, five runs on a 2-core x86 VM). Below it a
 sparse host costs the DP its 2^s prefixes in full (on the host P16 the scan
-takes under 1 ms, the DP 0.5 s, on a 2-core x86 VM). The constant stays at
-22 even so: moving it would change the node count of every re-routed host.
+takes under 1 ms, the DP 0.5 s). Under a raised cap the break-even does not
+rise with s through 13: on a fixed list of random hosts, nine each at
+s = 11, 12 and 13 with m from 2.0 s to 2.2 s, the DP takes 8-16, 17-22 and
+37-77 ms, doubling per vertex. The scan is faster on 3 to 5 of the nine at
+each s, by up to 11x at s = 11, 3.5x at s = 12 and 1.7x at s = 13, while
+its slowest hosts take up to 4.6x, 3.5x and 13x the DP's time, and the DP
+wins the sum at each s.
 Both methods return masks over the host's sorted edge list, which the stage
 sorts, so the family, the cover and the certificate are the same whichever
 runs; only the node count differs.
@@ -148,11 +156,15 @@ predecessor sets form a chain. Verification checks containment in the host
 and coverage on neighbour masks, and the boxes on meet masks: per
 coordinate, each vertex's mask of the vertices whose interval meets its
 own, ANDed over the coordinates and compared with g's rows.
-``exact_boxicity`` builds no boxes: ``BoxicityResult.box_rep`` calls
-``cover_to_box_representation``, which lays out each part's complement from
-the interval order that verified the part (``intervals._order_layout``, no
-complement built), so each call orients each part once. Parts become edge
-text only in ``format_cover``.
+``exact_boxicity`` builds the cover's parts, verifies the cover and keeps
+none of it, nor any boxes: ``BoxicityResult`` holds the value, the host,
+the chosen family members as masks over ``host.edges()`` in certificate
+order, and the two search counts. Its ``certificate`` property builds the
+cover from the masks on each access, and ``box_rep`` calls
+``cover_to_box_representation`` on that cover, which lays out each part's
+complement from the interval order that verified the part
+(``intervals._order_layout``, no complement built), so each call orients
+each part once. Parts become edge text only in ``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -249,17 +261,27 @@ class BoxRep:
 
 @dataclass(frozen=True, slots=True)
 class BoxicityResult:
-    """The boxicity, its verified certificate and the search counts. Each
-    ``box_rep`` access builds and verifies the boxes again: bind it once."""
+    """The boxicity, its verified certificate and the search counts.
+
+    ``host`` is the complement of g. ``part_masks`` are the certificate's
+    parts, chosen family members as masks over ``host.edges()``, in
+    certificate order. The result holds no other graph: each ``certificate``
+    access builds the cover from the masks, and each ``box_rep`` access
+    builds and verifies the boxes again, so bind either once."""
 
     value: int
-    certificate: CointervalCover
+    host: Graph
+    part_masks: tuple[int, ...]
     nodes_explored: int
     family_size: int
 
     @property
+    def certificate(self) -> CointervalCover:
+        return CointervalCover(self.host, _mask_parts(self.host, self.part_masks))
+
+    @property
     def box_rep(self) -> BoxRep:
-        return cover_to_box_representation(complement(self.certificate.host), self.certificate)
+        return cover_to_box_representation(complement(self.host), self.certificate)
 
 
 def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
@@ -468,6 +490,12 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
     every prefix on bitmasks, collects each successor's candidate fills and
     reduces each list once when the layer is done; a prefix holding one fill
     takes a fast path with no list comprehension.
+
+    Every prefix is needed. Letting a prefix grow only by a vertex with a
+    g-neighbour already placed (or by any vertex once nothing placed reaches
+    past it) loses family members: on 3 of the 12,345 graphs with 8
+    vertices and a complement edge, and on 90 of 3,000 random graphs with
+    9-11 vertices and edge density 0.2-0.5.
     """
     n, row, hrow = g.n, g.adj, host.adj
     edges = host.edges()
@@ -523,19 +551,27 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
 def _minimal_masks(masks: list[int]) -> list[int]:
     """The inclusion-minimal masks of the list, each once, by popcount. A
     proper subset has the smaller popcount, so after the sort each mask is
-    kept unless a mask kept before it is a subset of it, and no kept mask
-    ever needs removing."""
+    kept unless a kept mask of smaller popcount is a subset of it: no kept
+    mask ever needs removing, and masks of equal popcount, distinct once
+    repeats are gone, are never compared."""
     unique = set(masks)
     if len(unique) == 1:  # the common case: every candidate the same fill
         return list(unique)
+    # kept: the kept masks of popcount below count; level: those of count.
     kept: list[int] = []
+    level: list[int] = []
+    count = 0
     for mask in sorted(unique, key=int.bit_count):
+        if mask.bit_count() != count:
+            count = mask.bit_count()
+            kept += level
+            level = []
         for old in kept:
             if old & mask == old:
                 break
         else:
-            kept.append(mask)
-    return kept
+            level.append(mask)
+    return kept + level
 
 
 def _maximal_cointerval_family_masks(
@@ -546,7 +582,7 @@ def _maximal_cointerval_family_masks(
     node count of the method that built them. An interval g is answered
     first, at any size; any other g is refused over ``cap`` host edges from
     its own rows, C(n,2) - m, before the host is built. A host with m edges
-    on s non-isolated vertices goes to the prefix DP when 10·m >= 22·s and
+    on s non-isolated vertices goes to the prefix DP when 10·m >= 20·s and
     s <= ``DP_MAX_VERTICES``, and to the subset scan otherwise."""
     if _is_interval_masks(g.n, g.adj):
         host = complement(g)
@@ -559,7 +595,7 @@ def _maximal_cointerval_family_masks(
         )
     host = complement(g)
     s = sum(1 for row in host.adj if row)  # non-isolated host vertices
-    if s <= DP_MAX_VERTICES and 10 * size >= 22 * s:
+    if s <= DP_MAX_VERTICES and 10 * size >= 20 * s:
         family, nodes = _prefix_dp_masks(g, host)
     else:
         family, nodes = _maximal_cointerval_masks(host)
@@ -573,12 +609,17 @@ def maximal_cointerval_family(host: Graph) -> list[Graph]:
     spanning subgraphs, ordered lexicographically by sorted edge list. A
     cointerval host is its own one member at any size; any other host over
     the default complement-edge cap raises ``CapacityError``."""
-    _, edges, family, _ = _maximal_cointerval_family_masks(
+    _, _, family, _ = _maximal_cointerval_family_masks(
         complement(host), DEFAULT_COMPLEMENT_EDGE_CAP
     )
-    return [
-        Graph.from_edges(host.n, (edges[p] for p in _bit_list(mask))) for mask in family
-    ]
+    return list(_mask_parts(host, family))
+
+
+def _mask_parts(host: Graph, masks: Iterable[int]) -> tuple[Graph, ...]:
+    """The spanning subgraphs of the host that the masks over ``host.edges()``
+    denote, in the masks' order."""
+    edges = host.edges()
+    return tuple(Graph.from_edges(host.n, (edges[p] for p in _bit_list(m))) for m in masks)
 
 
 def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
@@ -642,8 +683,9 @@ def _minimum_cover(universe: int, sets: list[int]) -> tuple[list[int], int]:
 def exact_boxicity(
     g: Graph, max_complement_edges: int = DEFAULT_COMPLEMENT_EDGE_CAP
 ) -> BoxicityResult:
-    """Exact boxicity with a verified cointerval-cover certificate, from
-    which ``box_rep`` builds verified boxes on access. Complete graphs have
+    """Exact boxicity with a cointerval-cover certificate, verified before
+    it returns and kept as masks, from which ``certificate`` builds the cover
+    and ``box_rep`` verified boxes on access. Complete graphs have
     boxicity 0, and other interval graphs 1, from the decision without the
     scan and at any size; any other graph whose complement is over
     ``max_complement_edges`` raises ``CapacityError``.
@@ -657,13 +699,12 @@ def exact_boxicity(
     )
     universe = (1 << len(edges)) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
-    parts = tuple(
-        Graph.from_edges(host.n, (edges[p] for p in _bit_list(family[i])))
-        for i in chosen
-    )
-    cover = CointervalCover(host, parts)
-    _self_check(g, cover)
-    return BoxicityResult(len(parts), cover, scan_nodes + cover_nodes, len(family))
+    # The family is in edge-list order, so sorted indices are certificate order.
+    masks = tuple(family[i] for i in sorted(chosen))
+    _self_check(g, CointervalCover(host, _mask_parts(host, masks)))
+    return BoxicityResult(len(masks), host, masks, scan_nodes + cover_nodes, len(family))
+
+
 
 
 def _self_check(g: Graph, cover: CointervalCover) -> None:

@@ -354,7 +354,7 @@ class TestBoundsReport:
 
     def test_complement_of_g_built_once(self, connected_by_n, monkeypatch):
         """g's complement is built once per report, counted across modules:
-        by the engine as its certificate host, which the clique cover reads,
+        by the engine as its result's host, which the clique cover reads,
         or, when the engine refuses g (a cap of 0), by the Thm 4.2 branch.
         At r = 3 the engine alone needs it."""
         calls = Counter()

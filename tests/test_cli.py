@@ -385,7 +385,7 @@ class TestSurvey:
         """Invariants and Mycielski builds are counted across modules: the
         row builds the Mycielski graph once and hands it to the cover
         construction, and builds g's complement once, in the engine, whose
-        certificate host the clique cover reads. (M(G)'s complement is
+        result's host the clique cover reads. (M(G)'s complement is
         built by both the engine and the cover construction.)"""
         calls = Counter()
 

@@ -429,15 +429,27 @@ class TestPrefixDP:
                 engine, name, lambda *args, n=name, f=method: calls.append(n) or f(*args)
             )
         cap = engine.DEFAULT_COMPLEMENT_EDGE_CAP
-        # C8's host has 20 edges on 8 vertices: 10 * 20 >= 22 * 8.
-        engine._maximal_cointerval_family_masks(cycle_graph(8), cap)
-        # The host P12 has 11 edges on 12 vertices: 10 * 11 < 22 * 12.
+        # A host with m edges on s non-isolated vertices takes the DP from
+        # m = 2s on. C7's host has 14 edges on 7 vertices, m = 2s; with the
+        # chord 0-2, g is still not interval (it holds a chordless 6-cycle)
+        # and its host has 13 edges on the same 7 vertices, m = 2s - 1.
+        c7 = cycle_graph(7)
+        chorded = Graph.from_edges(7, c7.edges() + [(0, 2)])
+        for g, m in ((c7, 14), (chorded, 13)):
+            host = complement(g)
+            assert (host.num_edges(), sum(1 for row in host.adj if row)) == (m, 7)
+            engine._maximal_cointerval_family_masks(g, cap)
+        # The host P12 has 11 edges on 12 vertices, far below 2s.
         engine._maximal_cointerval_family_masks(complement(path_graph(12)), cap)
-        assert calls == ["_prefix_dp_masks", "_maximal_cointerval_masks"]
+        assert calls == [
+            "_prefix_dp_masks",
+            "_maximal_cointerval_masks",
+            "_maximal_cointerval_masks",
+        ]
         # Over the DP vertex limit a dense host goes to the scan too.
         monkeypatch.setattr(engine, "DP_MAX_VERTICES", 7)
         engine._maximal_cointerval_family_masks(cycle_graph(8), cap)
-        assert calls[2:] == ["_maximal_cointerval_masks"]
+        assert calls[3:] == ["_maximal_cointerval_masks"]
 
     def test_raised_cap_answers_with_verified_certificates(self):
         # Dense hosts with 35 to 44 edges, over the default cap, where the
@@ -665,8 +677,9 @@ class TestNoCyclicGarbage:
 
 
 class TestBoxesOnDemand:
-    """A result keeps its certificate, not its boxes: ``box_rep`` builds and
-    verifies them on each access, and a request for values builds none."""
+    """A result keeps its certificate's parts as masks, not its boxes:
+    ``box_rep`` builds and verifies them on each access, and a request for
+    values builds none."""
 
     def test_box_rep_is_not_stored(self):
         assert "box_rep" not in {f.name for f in dataclasses.fields(engine.BoxicityResult)}
@@ -697,6 +710,72 @@ class TestBoxesOnDemand:
         assert digest.hexdigest() == (
             "4c62ee78f91854810fa9c55817d83ddcacd922c5e7a24b347ea872ee01908859"
         )
+
+
+class TestResultKeepsMasks:
+    """A result keeps its host and the certificate's parts as masks over the
+    host's edges; the cover is built from them on each ``certificate``
+    access, and value requests never ask for it."""
+
+    @staticmethod
+    def graphs_in(obj):
+        if isinstance(obj, Graph):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from TestResultKeepsMasks.graphs_in(item)
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                yield from TestResultKeepsMasks.graphs_in(getattr(obj, f.name))
+
+    def test_holds_no_graph_but_its_host(self):
+        # The scan (K_{2,2,2,2}), the prefix DP (C8), an interval graph and a
+        # complete one, whose certificate has no part.
+        for g in (
+            complete_multipartite([2, 2, 2, 2]),
+            cycle_graph(8),
+            path_graph(5),
+            complete_graph(4),
+        ):
+            result = exact_boxicity(g)
+            assert [id(h) for h in self.graphs_in(result)] == [id(result.host)]
+            assert result.host == complement(g)
+            assert all(isinstance(mask, int) for mask in result.part_masks)
+
+    def test_certificate_and_boxes_are_the_masks_on_corpus(self, graphs_by_n):
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                result = exact_boxicity(g)
+                edges = result.host.edges()
+                lists = [
+                    [edges[p] for p in range(len(edges)) if mask >> p & 1]
+                    for mask in result.part_masks
+                ]
+                assert lists == sorted(lists)  # certificate order
+                cover = CointervalCover(
+                    result.host, tuple(Graph.from_edges(n, pairs) for pairs in lists)
+                )
+                assert len(lists) == result.value
+                assert format_cover(result.certificate) == format_cover(cover)
+                assert result.box_rep == cover_to_box_representation(g, cover)
+
+    def test_value_requests_never_read_the_certificate(self, connected_by_n, monkeypatch):
+        reads = []
+        built = engine.BoxicityResult.certificate
+        monkeypatch.setattr(
+            engine.BoxicityResult,
+            "certificate",
+            property(lambda result: reads.append(result) or built.fget(result)),
+        )
+        for n in range(1, 7):
+            for g in connected_by_n[n]:
+                survey_row(g)
+                compute_bounds_report(g)
+                compute_bounds_report(g, 3)
+        assert reads == []
+        # The counter sees a read.
+        format_cover(exact_boxicity(cycle_graph(5)).certificate)
+        assert len(reads) == 1
 
 
 class TestVerifyCover:
