@@ -28,6 +28,7 @@ from .graphs import (
 from .engine import (
     DEFAULT_COMPLEMENT_EDGE_CAP,
     Verdict,
+    _exact_boxicity,
     _minimum_cover,
     exact_boxicity,
     matching_lower_bound,
@@ -261,8 +262,8 @@ def compute_bounds_report(
     """All applicable bounds on the boxicity of the r-copy Mycielski graph
     of g, cross-validated (crossed bounds raise, signalling a bug). Box, the
     focal count and the complement's clique cover number are computed once,
-    and g's complement is built once: the clique cover reads the engine
-    result's host, and builds it only when the engine refused g.
+    and g's complement is built once: the clique cover reads the host that
+    the engine built for g, and builds it only when the engine refused g.
 
     Cor 3.6 needs the exact boxicity of g, so it is left out when the engine
     refuses g, as Thm 4.2 is left out when the edge-clique-cover solver
@@ -273,11 +274,10 @@ def compute_bounds_report(
     lower = []
     host = None
     try:
-        result = exact_boxicity(g, max_complement_edges)
+        result, host = _exact_boxicity(g, max_complement_edges)
     except CapacityError:
         pass
     else:
-        host = result.host
         lower.append((cor36_lower(result.value, focal), "cor3.6"))
     lower.append((matching_lower_bound(myc), "lemma3.3"))
     upper = []

@@ -29,6 +29,7 @@ from .bounds import (
 from .constructions import _mycielski_cover, complete_mycielski_cover, mycielski_cover
 from .engine import (
     DEFAULT_COMPLEMENT_EDGE_CAP,
+    _exact_boxicity,
     exact_boxicity,
     format_cover,
     parse_cover,
@@ -159,9 +160,9 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     """One survey row: exact invariants of g plus empirical verification of
     the Mycielski bounds, the boxicity-chromatic inequality (Thm 1.1) and the
     chromatic step. Each invariant of g is computed once and shared by the
-    checks: g's complement is built once, as the engine result's host, which
-    the clique cover reads, and the Mycielski graph is built once and
-    handed to the cover construction.
+    checks: g's complement is built once, as the host the engine builds for
+    g, which the clique cover reads, and the Mycielski graph is built once
+    and handed to the cover construction.
 
     The Mycielski lower bound is checked directly against an exact engine run
     whenever the engine answers under ``cap``, and against the Thm 4.2 upper
@@ -170,14 +171,14 @@ def survey_row(g, r: int = 2, cap: int = DEFAULT_COMPLEMENT_EDGE_CAP) -> SurveyR
     shows that the boxicity grows when g has a focal vertex, since lb is then
     at least box + 1.
     """
-    result = exact_boxicity(g, cap)
+    result, host = _exact_boxicity(g, cap)
     box = result.value
     chi = chromatic_number(g)
     if box > g.n // 2:  # Roberts 1969: boxicity is at most n/2
         raise SelfCheckError(
             f"boxicity {box} exceeds n/2 for n={g.n}; the engine is broken"
         )
-    theta, clique_cover = edge_clique_cover(result.host)
+    theta, clique_cover = edge_clique_cover(host)
     focal = _focal_count(g)
     lb = cor36_lower(box, focal)
     ub = thm42_upper(theta, focal)

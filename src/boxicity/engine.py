@@ -106,18 +106,24 @@ fills of the orders of P, one layer of prefixes per size (the
 vertex-ordering DP of Bodlaender, Fomin, Koster, Kratsch & Thilikos 2012);
 at P = V it holds exactly the minimal fills, and each member is the host's
 edges less one of them. Universal vertices of g take no fill and add none,
-so they start in every prefix. The DP's nodes are its (prefix, vertex)
-steps, s * 2^(s-1) over the host's s non-isolated vertices; it loops layer
-by layer, with no recursion. A step is bitmask work: the unplaced vertices
-are walked as bits, the placed vertices that still reach past the prefix
-form one mask, and the fill of placing v is read off the bits of that mask
-and v's host row. A prefix with one fill, the common case, extends it with
-no list built. Each successor prefix collects its candidate fills over the
-whole layer and is reduced once, at the layer's end (``_minimal_masks``):
-duplicates go, the rest are sorted by popcount, and each is kept unless a
-kept one of smaller popcount is a subset of it. A proper subset has the
-smaller popcount, so a kept fill is never removed later, and fills of equal
-popcount are never compared.
+so the DP works on the host's s non-isolated vertices alone, numbered
+0..s-1 in label order: a prefix is an s-bit int. The DP's nodes are its
+(prefix, vertex) steps, s * 2^(s-1); it loops layer by layer, with no
+recursion. A step is bitmask work. A table U, built once with one OR per
+subset, holds for each vertex set S the vertices with a g-neighbour in S,
+so the placed vertices that still reach past the prefix P are U[~P] & P,
+one lookup per prefix. The fill of placing v is v's host edges to those
+vertices, memoised per vertex on the reaching host neighbours, so the walk
+from vertex pairs to edge bits runs once per distinct set. A prefix with
+one fill, the common case, extends it with no list built. Each successor
+prefix collects its candidate fills over the whole layer in a slot indexed
+by prefix, and each prefix's slot is freed once it is stepped, so two
+layers are alive at a time. At the layer's end a successor whose
+candidates are all one fill keeps it; the rest are reduced once
+(``_minimal_masks``): duplicates go, the rest are sorted by popcount, and
+each is kept unless a kept one of smaller popcount is a subset of it. A
+proper subset has the smaller popcount, so a kept fill is never removed
+later, and fills of equal popcount are never compared.
 
 The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
 and ``maximal_cointerval_family`` alike. It first decides whether g is
@@ -157,12 +163,14 @@ and coverage on neighbour masks, and the boxes on meet masks: per
 coordinate, each vertex's mask of the vertices whose interval meets its
 own, ANDed over the coordinates and compared with g's rows.
 ``exact_boxicity`` builds the cover's parts, verifies the cover and keeps
-none of it, nor any boxes: ``BoxicityResult`` holds the value, the host,
-the chosen family members as masks over ``host.edges()`` in certificate
-order, and the two search counts. Its ``certificate`` property builds the
-cover from the masks on each access, and ``box_rep`` calls
-``cover_to_box_representation`` on that cover, which lays out each part's
-complement from the interval order that verified the part
+none of it, nor any boxes, nor the host: ``BoxicityResult`` holds the
+value, the caller's own g, the chosen family members as masks over
+``host.edges()`` in certificate order, and the two search counts. Its
+``host`` property builds the complement of g on each access, and
+``certificate`` the host and the cover from the masks; a caller that needs
+the host the engine built takes it from ``_exact_boxicity``. ``box_rep``
+calls ``cover_to_box_representation`` on g and that cover, which lays out
+each part's complement from the interval order that verified the part
 (``intervals._order_layout``, no complement built), so each call orients
 each part once. Parts become edge text only in ``format_cover``.
 
@@ -263,25 +271,32 @@ class BoxRep:
 class BoxicityResult:
     """The boxicity, its verified certificate and the search counts.
 
-    ``host`` is the complement of g. ``part_masks`` are the certificate's
-    parts, chosen family members as masks over ``host.edges()``, in
-    certificate order. The result holds no other graph: each ``certificate``
-    access builds the cover from the masks, and each ``box_rep`` access
-    builds and verifies the boxes again, so bind either once."""
+    ``g`` is the caller's own graph, kept as given. ``part_masks`` are the
+    certificate's parts, chosen family members as masks over
+    ``host.edges()``, in certificate order. The result holds no other graph:
+    each ``host`` access builds the complement of g, each ``certificate``
+    access builds the host and the cover from the masks, and each
+    ``box_rep`` access builds and verifies the boxes again, so bind any of
+    them once."""
 
     value: int
-    host: Graph
+    g: Graph
     part_masks: tuple[int, ...]
     nodes_explored: int
     family_size: int
 
     @property
+    def host(self) -> Graph:
+        return complement(self.g)
+
+    @property
     def certificate(self) -> CointervalCover:
-        return CointervalCover(self.host, _mask_parts(self.host, self.part_masks))
+        host = self.host
+        return CointervalCover(host, _mask_parts(host, self.part_masks))
 
     @property
     def box_rep(self) -> BoxRep:
-        return cover_to_box_representation(complement(self.host), self.certificate)
+        return cover_to_box_representation(self.g, self.certificate)
 
 
 def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
@@ -486,10 +501,16 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
 
     Returns bitmasks indexed by position in ``host.edges()``, in no fixed
     order, plus the number of (prefix, vertex) steps. See the module
-    docstring for the fill rule and why the family is exact. A layer steps
-    every prefix on bitmasks, collects each successor's candidate fills and
-    reduces each list once when the layer is done; a prefix holding one fill
-    takes a fast path with no list comprehension.
+    docstring for the fill rule and why the family is exact. The DP works on
+    the host's s non-isolated vertices, numbered 0..s-1 in label order, so a
+    prefix is an s-bit int. A table ``U`` of the vertices with a g-neighbour
+    in each subset gives each prefix's reaching vertices with one AND, and
+    each vertex's fill is memoised on its reaching host neighbours. A layer
+    steps every prefix, collects each successor's candidate fills in a slot
+    list indexed by prefix, frees each prefix's own fills once it is
+    stepped, and reduces each successor once when the layer is done; a
+    successor whose candidates are all one fill keeps it without a
+    reduction.
 
     Every prefix is needed. Letting a prefix grow only by a vertex with a
     g-neighbour already placed (or by any vertex once nothing placed reaches
@@ -497,31 +518,43 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
     vertices and a complement edge, and on 90 of 3,000 random graphs with
     9-11 vertices and edge density 0.2-0.5.
     """
-    n, row, hrow = g.n, g.adj, host.adj
+    row, hrow = g.adj, host.adj
     edges = host.edges()
-    # bit[u][v]: host edge uv's bit in the edge list, 0 when uv is a g-edge.
-    bit = [[0] * n for _ in range(n)]
+    # The live vertices, the host's non-isolated ones, in label order; g's
+    # universal vertices are the rest, and they add no fill and take none.
+    verts = [v for v in range(g.n) if hrow[v]]
+    s = len(verts)
+    local = {v: i for i, v in enumerate(verts)}
+    lrow = [sum(1 << local[u] for u in _bit_list(row[v]) if u in local) for v in verts]
+    lhrow = [sum(1 << local[u] for u in _bit_list(hrow[v])) for v in verts]
+    # ebit[i][j]: host edge ij's bit in the edge list.
+    ebit = [[0] * s for _ in range(s)]
     for p, (u, v) in enumerate(edges):
-        bit[u][v] = bit[v][u] = 1 << p
-    live = sum(1 << v for v in range(n) if hrow[v])
-    # Universal vertices of g add no fill and take none, so they start in
-    # every prefix; layer maps each prefix to its inclusion-minimal fills.
-    layer = {((1 << n) - 1) ^ live: [0]}
+        ebit[local[u]][local[v]] = ebit[local[v]][local[u]] = 1 << p
+    # U[S]: the live vertices with a g-neighbour in S, one OR per subset.
+    U = [0]
+    for i in range(s):
+        U += [near | lrow[i] for near in U]
+    # memo[v]: v's fill by its key, its host neighbours that reach past the
+    # prefix.
+    memo: list[dict[int, int]] = [{0: 0} for _ in range(s)]
+    full = (1 << s) - 1
+    # slot[P]: prefix P's fills, from when P is first reached until it is
+    # stepped: its candidates while its own layer is being collected, its
+    # inclusion-minimal fills once that layer is reduced.
+    slot: list[list[int] | None] = [None] * (1 << s)
+    slot[0] = [0]
+    layer = [0]
     steps = 0
-    for _ in range(live.bit_count()):
-        # after: each successor prefix's candidate fills, reduced once the
-        # whole layer has been stepped.
-        after: dict[int, list[int]] = {}
-        for prefix, fills in layer.items():
+    for _ in range(s):
+        after = []  # the successor prefixes, in the order first reached
+        for prefix in layer:
+            fills = slot[prefix]
+            slot[prefix] = None
+            rest = full ^ prefix
             # Placed vertices with a g-neighbour still unplaced: their
             # intervals reach every vertex placed from now on.
-            reach, placed = 0, prefix & live
-            while placed:
-                low = placed & -placed
-                placed ^= low
-                if row[low.bit_length() - 1] & ~prefix:
-                    reach |= low
-            rest = live & ~prefix
+            reach = U[rest] & prefix
             steps += rest.bit_count()
             single = fills[0] if len(fills) == 1 else None
             while rest:
@@ -529,23 +562,33 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
                 rest ^= low
                 v = low.bit_length() - 1
                 # The fill of placing v: its host edges to reaching vertices.
-                fill_v, near, bit_v = 0, reach & hrow[v], bit[v]
-                while near:
-                    u = near & -near
-                    near ^= u
-                    fill_v |= bit_v[u.bit_length() - 1]
+                key = reach & lhrow[v]
+                fill_v = memo[v].get(key)
+                if fill_v is None:
+                    fill_v, near, bit_v = 0, key, ebit[v]
+                    while near:
+                        u = near & -near
+                        near ^= u
+                        fill_v |= bit_v[u.bit_length() - 1]
+                    memo[v][key] = fill_v
                 succ = prefix | low
-                cands = after.get(succ)
+                cands = slot[succ]
                 if cands is None:
-                    cands = after[succ] = []
+                    cands = slot[succ] = []
+                    after.append(succ)
                 if single is not None:
                     cands.append(single | fill_v)
                 else:
                     cands += [fill | fill_v for fill in fills]
-        layer = {prefix: _minimal_masks(cands) for prefix, cands in after.items()}
-    (fills,) = layer.values()
-    full = (1 << len(edges)) - 1
-    return [full ^ fill for fill in fills], steps
+        for prefix in after:
+            cands = slot[prefix]
+            if cands.count(cands[0]) == len(cands):
+                del cands[1:]
+            else:
+                slot[prefix] = _minimal_masks(cands)
+        layer = after
+    every = (1 << len(edges)) - 1
+    return [every ^ fill for fill in slot[full]], steps
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:
@@ -694,6 +737,12 @@ def exact_boxicity(
     lossless: any part of a cover stays cointerval when replaced by a maximal
     superset from the family, and the union only grows.
     """
+    return _exact_boxicity(g, max_complement_edges)[0]
+
+
+def _exact_boxicity(g: Graph, max_complement_edges: int) -> tuple[BoxicityResult, Graph]:
+    """``exact_boxicity``'s result and the complement of g that the engine
+    built for it, for callers that need both without building it again."""
     host, edges, family, scan_nodes = _maximal_cointerval_family_masks(
         g, max_complement_edges
     )
@@ -702,10 +751,8 @@ def exact_boxicity(
     # The family is in edge-list order, so sorted indices are certificate order.
     masks = tuple(family[i] for i in sorted(chosen))
     _self_check(g, CointervalCover(host, _mask_parts(host, masks)))
-    return BoxicityResult(len(masks), host, masks, scan_nodes + cover_nodes, len(family))
-
-
-
+    result = BoxicityResult(len(masks), g, masks, scan_nodes + cover_nodes, len(family))
+    return result, host
 
 def _self_check(g: Graph, cover: CointervalCover) -> None:
     """Verify the engine's certificate."""

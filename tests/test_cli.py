@@ -339,18 +339,21 @@ class TestSurvey:
     def test_exact_mycielski_check_wherever_the_engine_answers(
         self, connected_by_n, monkeypatch
     ):
-        # Every row asks the engine for box(G), then for box(M(G)); the
-        # second is answered at the default cap on 11 of the 995 connected
-        # graphs with 2 to 7 vertices.
+        # Every row asks the engine for box(G) with its host, then for
+        # box(M(G)); the second is answered at the default cap on 11 of the
+        # 995 connected graphs with 2 to 7 vertices.
         answered = []
-        ask = cli.exact_boxicity
 
-        def counted(g, cap):
-            result = ask(g, cap)
-            answered.append(g)
-            return result
+        def counted(ask):
+            def wrapped(g, cap):
+                result = ask(g, cap)
+                answered.append(g)
+                return result
 
-        monkeypatch.setattr(cli, "exact_boxicity", counted)
+            return wrapped
+
+        for name in ("_exact_boxicity", "exact_boxicity"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
         graphs = [g for n in range(2, 8) for g in connected_by_n[n]]
         exact_rows = 0
         for g in graphs:
@@ -396,7 +399,13 @@ class TestSurvey:
 
             return wrapped
 
-        names = ("exact_boxicity", "chromatic_number", "edge_clique_cover", "mycielski")
+        names = (
+            "exact_boxicity",
+            "_exact_boxicity",
+            "chromatic_number",
+            "edge_clique_cover",
+            "mycielski",
+        )
         for module in (cli, bounds, constructions, engine):
             for name in names + ("complement",):
                 if hasattr(module, name):
@@ -414,13 +423,13 @@ class TestSurvey:
     def test_roberts_self_check(self, tmp_path, capsys, monkeypatch):
         """A boxicity above n/2 (Roberts 1969) can only come from a broken
         engine: the row raises, and the command exits 4."""
-        real = cli.exact_boxicity
+        real = cli._exact_boxicity
 
         def broken(g, *args):
-            result = real(g, *args)
-            return dataclasses.replace(result, value=g.n // 2 + 1)
+            result, host = real(g, *args)
+            return dataclasses.replace(result, value=g.n // 2 + 1), host
 
-        monkeypatch.setattr(cli, "exact_boxicity", broken)
+        monkeypatch.setattr(cli, "_exact_boxicity", broken)
         message = "boxicity 3 exceeds n/2 for n=5; the engine is broken"
         with pytest.raises(SelfCheckError, match=f"^{message}$"):
             cli.survey_row(cycle_graph(5))

@@ -365,6 +365,14 @@ class TestMaximalFamily:
         assert keys == sorted(keys)
 
 
+def with_universal(g, i):
+    """g with a universal vertex inserted at label i: the labels from i on
+    move up by one."""
+    up = [v + (v >= i) for v in range(g.n)]
+    pairs = [(up[u], up[v]) for u, v in g.edges()] + [(i, w) for w in up]
+    return Graph.from_edges(g.n + 1, pairs)
+
+
 class TestPrefixDP:
     def test_matches_the_scan_on_corpus_and_large_hosts(self, graphs_by_n):
         # Every graph with up to 7 vertices that is not interval, so the stage
@@ -390,6 +398,27 @@ class TestPrefixDP:
         apex = join(cycle_graph(5), complete_graph(1))
         for g, steps in ((cycle_graph(5), 80), (apex, 80), (cycle_graph(8), 1024)):
             assert engine._prefix_dp_masks(g, complement(g))[1] == steps
+
+    def test_universal_vertex_at_any_label_drops_out(self, graphs_by_n):
+        # The DP renumbers the host's non-isolated vertices in order, so a
+        # universal vertex of g, an isolated one of the host, may sit at any
+        # label: the family stays the scan's and the steps s * 2^(s-1).
+        checked = 0
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                if _is_interval_masks(g.n, g.adj):
+                    continue
+                for i in range(n + 1):
+                    h = with_universal(g, i)
+                    host = complement(h)
+                    assert not host.adj[i]
+                    s = sum(1 for row in host.adj if row)
+                    dp, steps = engine._prefix_dp_masks(h, host)
+                    scan, _ = engine._maximal_cointerval_masks(host)
+                    assert sorted(dp) == sorted(scan)
+                    assert steps == s << (s - 1)
+                    checked += 1
+        assert checked == 495
 
     def test_digest_pinned(self, graphs_by_n):
         # The sorted family and the step count on every graph with up to 7
@@ -713,9 +742,10 @@ class TestBoxesOnDemand:
 
 
 class TestResultKeepsMasks:
-    """A result keeps its host and the certificate's parts as masks over the
-    host's edges; the cover is built from them on each ``certificate``
-    access, and value requests never ask for it."""
+    """A result keeps the caller's g and the certificate's parts as masks
+    over the host's edges; the host and the cover are built on each
+    ``host`` or ``certificate`` access, and value requests ask for
+    neither."""
 
     @staticmethod
     def graphs_in(obj):
@@ -728,9 +758,10 @@ class TestResultKeepsMasks:
             for f in dataclasses.fields(obj):
                 yield from TestResultKeepsMasks.graphs_in(getattr(obj, f.name))
 
-    def test_holds_no_graph_but_its_host(self):
+    def test_holds_no_graph_but_g(self):
         # The scan (K_{2,2,2,2}), the prefix DP (C8), an interval graph and a
-        # complete one, whose certificate has no part.
+        # complete one, whose certificate has no part. The result keeps the
+        # caller's own g and builds the host on each access.
         for g in (
             complete_multipartite([2, 2, 2, 2]),
             cycle_graph(8),
@@ -738,7 +769,7 @@ class TestResultKeepsMasks:
             complete_graph(4),
         ):
             result = exact_boxicity(g)
-            assert [id(h) for h in self.graphs_in(result)] == [id(result.host)]
+            assert [id(h) for h in self.graphs_in(result)] == [id(g)]
             assert result.host == complement(g)
             assert all(isinstance(mask, int) for mask in result.part_masks)
 
@@ -775,6 +806,23 @@ class TestResultKeepsMasks:
         assert reads == []
         # The counter sees a read.
         format_cover(exact_boxicity(cycle_graph(5)).certificate)
+        assert len(reads) == 1
+
+    def test_rows_and_reports_never_read_the_host(self, connected_by_n, monkeypatch):
+        # Survey rows and bounds reports take the host the engine built for
+        # g from ``_exact_boxicity``, so no result builds it again.
+        reads = []
+        built = engine.BoxicityResult.host
+        monkeypatch.setattr(
+            engine.BoxicityResult,
+            "host",
+            property(lambda result: reads.append(result) or built.fget(result)),
+        )
+        for g in connected_by_n[6]:
+            survey_row(g)
+            compute_bounds_report(g)
+        assert reads == []
+        assert exact_boxicity(cycle_graph(5)).host == complement(cycle_graph(5))
         assert len(reads) == 1
 
 

@@ -98,6 +98,23 @@ def test_prefix_dp_matches_brute_family(host):
     assert sorted(family) == brute_maximal_family(host)
 
 
+@settings(FIXED, max_examples=100)
+@given(st.one_of(graphs(max_n=6, max_edges=12), middle_hosts()), st.data())
+def test_prefix_dp_with_an_isolated_host_vertex_matches_brute_family(host, data):
+    # An isolated host vertex, a universal vertex of g, inserted at any
+    # label: the DP works on the other vertices, renumbered in order, and
+    # takes s * 2^(s-1) steps over the s non-isolated ones.
+    i = data.draw(st.integers(0, host.n))
+    up = [v + (v >= i) for v in range(host.n)]
+    host = Graph.from_edges(host.n + 1, [(up[u], up[v]) for u, v in host.edges()])
+    masks, steps = _prefix_dp_masks(complement(host), host)
+    edges = host.edges()
+    family = [[e for p, e in enumerate(edges) if mask >> p & 1] for mask in masks]
+    assert sorted(family) == brute_maximal_family(host)
+    s = sum(1 for row in host.adj if row)
+    assert steps == (s << s >> 1)
+
+
 @st.composite
 def candidate_fills(draw):
     """A list of 6-bit masks as a DP successor's candidates arrive: some
