@@ -1,26 +1,37 @@
 """Exact boxicity via minimum cointerval edge coverings of the complement.
 
 The boxicity of g equals the minimum number of cointerval spanning subgraphs
-of the complement of g whose edge sets jointly cover every complement edge;
-the minimizing family is a checkable certificate, and reading each part's
-complement as an interval representation turns the certificate into boxes
-whose intersection graph is g.
+of the complement of g, the host, whose edge sets jointly cover every host
+edge; the minimizing family is a checkable certificate, and reading each
+part's complement as an interval representation turns the certificate into
+boxes whose intersection graph is g.
 
 Search architecture
 -------------------
-The family of inclusion-maximal cointerval subsets of the host's edges comes
-from one of two exact methods, a subset scan or a prefix DP, chosen by the
-host's density (see the stage below).
+The stage ``_maximal_cointerval_family_masks`` builds the family of
+inclusion-maximal cointerval subsets of the host's edges in three steps. It
+first decides whether g is interval: if so, the host is cointerval, its own
+one member and the one-part cover (no part when g is complete), so neither
+family method runs, the cap does not apply, and the cover search takes two
+nodes (none for a complete g). Any other g is checked against the cap on its
+own rows, before the complement is built, so asking the engine costs a
+caller no more than predicting its refusal. Then one of two exact methods
+builds the family, chosen by the host's density. The prefix DP's time is set
+by its 2^s prefixes, the subset scan's by the branches its prunes leave,
+which grow with density; the routing constant is the measured break-even on
+the benchmark's ``box-hard`` hosts, and under a raised cap it does not move
+through s = 13 (``break_even`` and ``raised_cap`` in ``BENCH_29.json``).
+Both methods return masks over the host's sorted edge list, which the stage
+sorts, so the family, the cover and the certificate are the same whichever
+runs; only the node count differs.
 
-The subset scan ``_maximal_cointerval_masks`` walks the subsets of the
-host's edge set. Cointervality is not monotone under adding or removing
-edges, so partial subsets cannot be pruned on cointervality itself; instead
-the scan walks an
-include-first binary decision tree over edges and prunes on three exact
-grounds. The first two make every leaf cointerval without a test: a graph
-is cointerval iff it has no induced pair of independent edges (the
-complement of an induced 4-cycle) and is transitively orientable (Gilmore &
-Hoffman 1964).
+The subset scan ``_maximal_cointerval_masks`` walks an include-first binary
+decision tree over the host's edges. Cointervality is not monotone under
+adding or removing edges, so partial subsets cannot be pruned on
+cointervality itself; the scan prunes on three exact grounds instead. The
+first two make every leaf cointerval without a test: a graph is cointerval
+iff it has no induced pair of independent edges (the complement of an
+induced 4-cycle) and is transitively orientable (Gilmore & Hoffman 1964).
 
 * a pair of chosen vertex-disjoint edges whose four cross pairs are all
   absent (no host edge, or decided out) can never be repaired, and every
@@ -42,51 +53,32 @@ Hoffman 1964).
 * a branch whose remaining potential edge set is contained in an
   already-found maximal subset cannot contribute a new maximal subset. Only
   an exclude child is tested: an include child's remaining potential edge
-  set is its parent's, just found uncovered. The found subsets are numbered
-  by the order they were found, and ``holds[p]`` holds the ids of those that
-  hold scan position p. Each node carries the ids of the found subsets that
-  contain its chosen edges; an include child narrows them by ``holds`` of
-  its edge, and its parent adds back every subset found below it, all of
-  which contain the parent's chosen edges. The exclude child at position j
-  is subsumed when one of its subsets holds every position from j on that
-  is not blocked. Host edge xy is blocked when a chosen edge has both ends
-  absent to x and to y: absent pairs and chosen edges only accumulate along
-  a branch, so the first ground refuses xy at every node below, and every
-  leaf below is a proper subset of that found subset. The test walks the
-  later positions, tests only those that some remaining candidate misses,
-  narrows the candidates by ``holds`` at each unblocked one and fails when
-  none is left. A subsumed child counts as a node and is not entered.
+  set is its parent's, just found uncovered. Each node carries the found
+  subsets that contain its chosen edges, and the exclude child at position
+  j is subsumed when one of them holds every position from j on that is not
+  blocked. Host edge xy is blocked when a chosen edge has both ends absent
+  to x and to y: absent pairs and chosen edges only accumulate along a
+  branch, so the first ground refuses xy at every node below, and every
+  leaf below is a proper subset of that found subset. A subsumed child
+  counts as a node and is not entered.
 
 Edges are decided vertex by vertex. The scan places the host's vertices one
 at a time and decides each vertex's edges to the vertices placed before it
-together: scan positions are the host edges sorted by the place of their
-later endpoint, then of their earlier one. When a vertex's edges are
-decided, every pair inside the placed prefix is decided, so every induced
-pair of independent edges and every class conflict inside the prefix has
-been pruned, and each live branch chooses a cointerval graph on the prefix.
-Next comes the unplaced vertex with the fewest host edges to unplaced
-vertices: those edges are the pairs left undecided between the prefix and
-the rest, across which a conflict can still wait for a decision. Ties go to
-lower host degree, which at an equal count is the vertex with the fewest
-edges back into the prefix, so the new prefix closes after the fewest
-decisions; then to lower index. On 120 random hosts with 9-11 vertices and
-18-24 edges the scan makes 518k nodes in this order, against 697k when edges
-go by endpoint degree sum, 802k when ties go by index alone and 837k when
-they go to higher degree.
+together. When a vertex's edges are decided, every pair inside the placed
+prefix is decided, so every induced pair of independent edges and every
+class conflict inside the prefix has been pruned, and each live branch
+chooses a cointerval graph on the prefix. Next comes the unplaced vertex
+with the fewest host edges to unplaced vertices: those edges are the pairs
+left undecided between the prefix and the rest, across which a conflict can
+still wait for a decision. Ties go to lower host degree, which at an equal
+count is the vertex with the fewest edges back into the prefix, so the new
+prefix closes after the fewest decisions; then to lower index. This order
+makes the fewest nodes of those measured in ``BENCH_17.json``.
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
 exactly the brute-force family (asserted against a plain subset scan in the
-tests), just reached faster. Minimum set cover over the family is iterative
-deepening on the cover size k = 1, 2, ...: each round searches depth first
-for a cover of at most k parts, branching on the uncovered edge lying in the
-fewest family members and cutting a node when the ceiling of uncovered count
-over best single-set coverage exceeds the parts left. Family order, branch
-order and tie-breaks are lexicographic on edge lists, and every node on the
-path to a minimum cover passes the cut in the round k = OPT, so the first
-cover that round finds, the certificate, is the first minimum cover in that
-order. An edgeless host has the single empty maximal subset and the empty
-cover.
+tests), just reached faster.
 
 The prefix DP ``_prefix_dp_masks`` builds the same family from g's vertex
 orders. A set S of host edges is cointerval exactly when g plus the host
@@ -106,73 +98,26 @@ fills of the orders of P, one layer of prefixes per size (the
 vertex-ordering DP of Bodlaender, Fomin, Koster, Kratsch & Thilikos 2012);
 at P = V it holds exactly the minimal fills, and each member is the host's
 edges less one of them. Universal vertices of g take no fill and add none,
-so the DP works on the host's s non-isolated vertices alone, numbered
-0..s-1 in label order: a prefix is an s-bit int. The DP's nodes are its
-(prefix, vertex) steps, s * 2^(s-1); it loops layer by layer, with no
-recursion. A step is bitmask work. A table U, built once with one OR per
-subset, holds for each vertex set S the vertices with a g-neighbour in S,
-so the placed vertices that still reach past the prefix P are U[~P] & P,
-one lookup per prefix. The fill of placing v is v's host edges to those
-vertices, memoised per vertex on the reaching host neighbours, so the walk
-from vertex pairs to edge bits runs once per distinct set. A prefix with
-one fill, the common case, extends it with no list built. Each successor
-prefix collects its candidate fills over the whole layer in a slot indexed
-by prefix, and each prefix's slot is freed once it is stepped, so two
-layers are alive at a time. At the layer's end a successor whose
-candidates are all one fill keeps it; the rest are reduced once
-(``_minimal_masks``): duplicates go, the rest are sorted by popcount, and
-each is kept unless a kept one of smaller popcount is a subset of it. A
-proper subset has the smaller popcount, so a kept fill is never removed
-later, and fills of equal popcount are never compared.
+so the DP works on the host's non-isolated vertices alone.
 
-The stage ``_maximal_cointerval_family_masks`` answers ``exact_boxicity``
-and ``maximal_cointerval_family`` alike. It first decides whether g is
-interval. If it is, the complement is cointerval, the family's one member
-and the one-part cover (no part when g is complete): neither family method
-runs, so the complement-edge cap does not apply, and the cover search takes
-two nodes (none for a complete g). Any other g over the cap is refused on
-C(n,2) - m read off its rows before the complement is built, so asking the
-engine costs a caller no more than predicting its refusal. Only then is the
-complement built. A host with m edges on s non-isolated vertices goes to the
-prefix DP when 10 * m >= 20 * s and s is at most ``DP_MAX_VERTICES``, which
-bounds the DP's 2^s prefixes, and to the subset scan otherwise. The
-DP's time is set by 2^s, the scan's by the branches its prunes leave, which
-grow with the host's density. The constant is the measured break-even:
-summed over the 65 non-interval hosts of the benchmark's ``box-hard``
-workload, the family build is lowest at m >= 2.0 s (1.9 s routes the same
-hosts); 2.1 s costs 5-9% more, 2.2 s 32-45% more, and 1.8 s, one host more,
-1-4% more (best of 5 per host, five runs on a 2-core x86 VM). Below it a
-sparse host costs the DP its 2^s prefixes in full (on the host P16 the scan
-takes under 1 ms, the DP 0.5 s). Under a raised cap the break-even does not
-rise with s through 13: on a fixed list of random hosts, nine each at
-s = 11, 12 and 13 with m from 2.0 s to 2.2 s, the DP takes 8-16, 17-22 and
-37-77 ms, doubling per vertex. The scan is faster on 3 to 5 of the nine at
-each s, by up to 11x at s = 11, 3.5x at s = 12 and 1.7x at s = 13, while
-its slowest hosts take up to 4.6x, 3.5x and 13x the DP's time, and the DP
-wins the sum at each s.
-Both methods return masks over the host's sorted edge list, which the stage
-sorts, so the family, the cover and the certificate are the same whichever
-runs; only the node count differs.
+Minimum set cover over the family (``_minimum_cover``) is iterative
+deepening on the cover size. Family order, branch order and tie-breaks are
+lexicographic on edge lists, and every node on the path to a minimum cover
+passes the cut in the round k = OPT, so the first cover that round finds,
+the certificate, is the first minimum cover in that order. An edgeless host
+has the single empty maximal subset and the empty cover.
 
 Cover parts are bitmask graphs: each is a ``Graph`` on the host's vertices,
 the spanning subgraph it denotes. The verifier decides cointervality with
 ``intervals._interval_order`` on the part's own rows, since a certificate
-may come from outside the scan: one transitive orientation whose
-predecessor sets form a chain. Verification checks containment in the host
-and coverage on neighbour masks, and the boxes on meet masks: per
-coordinate, each vertex's mask of the vertices whose interval meets its
-own, ANDed over the coordinates and compared with g's rows.
-``exact_boxicity`` builds the cover's parts, verifies the cover and keeps
-none of it, nor any boxes, nor the host: ``BoxicityResult`` holds the
-value, the caller's own g, the chosen family members as masks over
-``host.edges()`` in certificate order, and the two search counts. Its
-``host`` property builds the complement of g on each access, and
-``certificate`` the host and the cover from the masks; a caller that needs
-the host the engine built takes it from ``_exact_boxicity``. ``box_rep``
-calls ``cover_to_box_representation`` on g and that cover, which lays out
-each part's complement from the interval order that verified the part
-(``intervals._order_layout``, no complement built), so each call orients
-each part once. Parts become edge text only in ``format_cover``.
+may come from outside the engine: one transitive orientation whose
+predecessor sets form a chain. ``exact_boxicity`` verifies its cover before
+it returns and keeps it only as masks: a result holds the value, the
+caller's g, the parts as masks over ``host.edges()`` and the two search
+counts. Boxes are laid out from the interval order that verified each part
+(``intervals._order_layout``), so no part's complement is built and each
+part is oriented once per call. Parts become edge text only in
+``format_cover``.
 
 Certificate text format (bit-exact): line 1 ``host <graph6>``, line 2
 ``parts <k>``, then k lines each holding a space-separated sorted list of
@@ -181,6 +126,7 @@ edges ``u-v`` with u < v, parts sorted lexicographically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import zip_longest
@@ -494,23 +440,24 @@ def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
     return out, nodes
 
 
-def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
-    """All inclusion-maximal cointerval subsets of the host's edges, the
-    complement of g, as the host edges left out by g's minimal interval
-    completions: a prefix DP over g's vertex orders.
+def _prefix_dp_masks(host: Graph) -> tuple[list[int], int]:
+    """All inclusion-maximal cointerval subsets of the host's edges, as the
+    host edges left out by the minimal interval completions of g, the host's
+    complement: a prefix DP over g's vertex orders.
 
     Returns bitmasks indexed by position in ``host.edges()``, in no fixed
-    order, plus the number of (prefix, vertex) steps. See the module
-    docstring for the fill rule and why the family is exact. The DP works on
-    the host's s non-isolated vertices, numbered 0..s-1 in label order, so a
-    prefix is an s-bit int. A table ``U`` of the vertices with a g-neighbour
-    in each subset gives each prefix's reaching vertices with one AND, and
-    each vertex's fill is memoised on its reaching host neighbours. A layer
-    steps every prefix, collects each successor's candidate fills in a slot
-    list indexed by prefix, frees each prefix's own fills once it is
-    stepped, and reduces each successor once when the layer is done; a
-    successor whose candidates are all one fill keeps it without a
-    reduction.
+    order, plus the number of (prefix, vertex) steps, s * 2^(s-1). See the
+    module docstring for the fill rule and why the family is exact. The DP
+    works on the host's s non-isolated vertices, numbered 0..s-1 in label
+    order, so a prefix is an s-bit int, and loops layer by layer with no
+    recursion. A table ``U`` of the vertices with a g-neighbour in each
+    subset gives each prefix's reaching vertices with one AND, and each
+    vertex's fill is memoised on its reaching host neighbours. A layer steps
+    every prefix, extending a prefix's one fill (the common case) with no
+    list built, collects each successor's candidate fills in a slot list
+    indexed by prefix, frees each prefix's own fills once it is stepped, and
+    reduces each successor once when the layer is done; a successor whose
+    candidates are all one fill keeps it without a reduction.
 
     Every prefix is needed. Letting a prefix grow only by a vertex with a
     g-neighbour already placed (or by any vertex once nothing placed reaches
@@ -518,15 +465,17 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
     vertices and a complement edge, and on 90 of 3,000 random graphs with
     9-11 vertices and edge density 0.2-0.5.
     """
-    row, hrow = g.adj, host.adj
+    hrow = host.adj
     edges = host.edges()
     # The live vertices, the host's non-isolated ones, in label order; g's
     # universal vertices are the rest, and they add no fill and take none.
-    verts = [v for v in range(g.n) if hrow[v]]
+    verts = [v for v in range(host.n) if hrow[v]]
     s = len(verts)
+    full = (1 << s) - 1
     local = {v: i for i, v in enumerate(verts)}
-    lrow = [sum(1 << local[u] for u in _bit_list(row[v]) if u in local) for v in verts]
     lhrow = [sum(1 << local[u] for u in _bit_list(hrow[v])) for v in verts]
+    # g's rows on the live vertices: the complements of the host's.
+    lrow = [full ^ h ^ 1 << i for i, h in enumerate(lhrow)]
     # ebit[i][j]: host edge ij's bit in the edge list.
     ebit = [[0] * s for _ in range(s)]
     for p, (u, v) in enumerate(edges):
@@ -538,7 +487,6 @@ def _prefix_dp_masks(g: Graph, host: Graph) -> tuple[list[int], int]:
     # memo[v]: v's fill by its key, its host neighbours that reach past the
     # prefix.
     memo: list[dict[int, int]] = [{0: 0} for _ in range(s)]
-    full = (1 << s) - 1
     # slot[P]: prefix P's fills, from when P is first reached until it is
     # stepped: its candidates while its own layer is being collected, its
     # inclusion-minimal fills once that layer is reduced.
@@ -597,14 +545,11 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     kept unless a kept mask of smaller popcount is a subset of it: no kept
     mask ever needs removing, and masks of equal popcount, distinct once
     repeats are gone, are never compared."""
-    unique = set(masks)
-    if len(unique) == 1:  # the common case: every candidate the same fill
-        return list(unique)
     # kept: the kept masks of popcount below count; level: those of count.
     kept: list[int] = []
     level: list[int] = []
     count = 0
-    for mask in sorted(unique, key=int.bit_count):
+    for mask in sorted(set(masks), key=int.bit_count):
         if mask.bit_count() != count:
             count = mask.bit_count()
             kept += level
@@ -617,20 +562,20 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     return kept + level
 
 
-def _maximal_cointerval_family_masks(
-    g: Graph, cap: int
-) -> tuple[Graph, list[tuple[int, int]], list[int], int]:
-    """The complement of g as the host, its sorted edge list, the maximal
-    cointerval subsets of that list as masks ordered by edge list, and the
-    node count of the method that built them. An interval g is answered
-    first, at any size; any other g is refused over ``cap`` host edges from
-    its own rows, C(n,2) - m, before the host is built. A host with m edges
-    on s non-isolated vertices goes to the prefix DP when 10·m >= 20·s and
-    s <= ``DP_MAX_VERTICES``, and to the subset scan otherwise."""
+def _maximal_cointerval_family_masks(g: Graph, cap: int) -> tuple[Graph, list[int], int]:
+    """The complement of g as the host, the maximal cointerval subsets of its
+    edges as masks over ``host.edges()`` in edge-list order, and the node
+    count of the method that built them.
+
+    An interval g is answered at any size, with the host as the one member.
+    Any other g is refused over ``cap`` host edges, C(n,2) - m; a host with m
+    edges on s non-isolated vertices then goes to the prefix DP when m >= 2s
+    and s <= ``DP_MAX_VERTICES``, and to the subset scan otherwise. The scan
+    recurses once per host edge, so a host past the recursion limit is
+    refused too."""
     if _is_interval_masks(g.n, g.adj):
         host = complement(g)
-        edges = host.edges()
-        return host, edges, [(1 << len(edges)) - 1], 0
+        return host, [(1 << host.num_edges()) - 1], 0
     size = g.n * (g.n - 1) // 2 - g.num_edges()
     if size > cap:
         raise CapacityError(
@@ -638,13 +583,17 @@ def _maximal_cointerval_family_masks(
         )
     host = complement(g)
     s = sum(1 for row in host.adj if row)  # non-isolated host vertices
-    if s <= DP_MAX_VERTICES and 10 * size >= 20 * s:
-        family, nodes = _prefix_dp_masks(g, host)
+    if s <= DP_MAX_VERTICES and size >= 2 * s:
+        family, nodes = _prefix_dp_masks(host)
     else:
-        family, nodes = _maximal_cointerval_masks(host)
+        try:
+            family, nodes = _maximal_cointerval_masks(host)
+        except RecursionError:  # the scan recurses once per host edge
+            limit = f"the subset scan's recursion limit {sys.getrecursionlimit()}"
+            raise CapacityError(f"host has {size} edges, over {limit}") from None
     # Masks index the lexicographic edge list, so this orders by edge list.
     family.sort(key=_bit_list)
-    return host, host.edges(), family, nodes
+    return host, family, nodes
 
 
 def maximal_cointerval_family(host: Graph) -> list[Graph]:
@@ -652,7 +601,7 @@ def maximal_cointerval_family(host: Graph) -> list[Graph]:
     spanning subgraphs, ordered lexicographically by sorted edge list. A
     cointerval host is its own one member at any size; any other host over
     the default complement-edge cap raises ``CapacityError``."""
-    _, _, family, _ = _maximal_cointerval_family_masks(
+    _, family, _ = _maximal_cointerval_family_masks(
         complement(host), DEFAULT_COMPLEMENT_EDGE_CAP
     )
     return list(_mask_parts(host, family))
@@ -743,10 +692,8 @@ def exact_boxicity(
 def _exact_boxicity(g: Graph, max_complement_edges: int) -> tuple[BoxicityResult, Graph]:
     """``exact_boxicity``'s result and the complement of g that the engine
     built for it, for callers that need both without building it again."""
-    host, edges, family, scan_nodes = _maximal_cointerval_family_masks(
-        g, max_complement_edges
-    )
-    universe = (1 << len(edges)) - 1
+    host, family, scan_nodes = _maximal_cointerval_family_masks(g, max_complement_edges)
+    universe = (1 << host.num_edges()) - 1
     chosen, cover_nodes = _minimum_cover(universe, family)
     # The family is in edge-list order, so sorted indices are certificate order.
     masks = tuple(family[i] for i in sorted(chosen))

@@ -283,7 +283,7 @@ class TestMaximalFamily:
         digest = hashlib.sha256()
         graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
         for g in graphs + [complement(host) for host in _large_hosts()]:
-            _, _, family, _ = engine._maximal_cointerval_family_masks(
+            _, family, _ = engine._maximal_cointerval_family_masks(
                 g, engine.DEFAULT_COMPLEMENT_EDGE_CAP
             )
             digest.update(f"{family}\n".encode())
@@ -319,9 +319,10 @@ class TestMaximalFamily:
         # on the part's complement rows must agree on every family member.
         for n in range(1, 8):
             for g in graphs_by_n[n]:
-                _, edges, family, _ = engine._maximal_cointerval_family_masks(
+                host, family, _ = engine._maximal_cointerval_family_masks(
                     g, engine.DEFAULT_COMPLEMENT_EDGE_CAP
                 )
+                edges = host.edges()
                 full = (1 << n) - 1
                 for mask in family:
                     rows = [0] * n
@@ -385,7 +386,7 @@ class TestPrefixDP:
             if _is_interval_masks(g.n, g.adj):
                 continue
             host = complement(g)
-            dp, _ = engine._prefix_dp_masks(g, host)
+            dp, _ = engine._prefix_dp_masks(host)
             scan, _ = engine._maximal_cointerval_masks(host)
             assert sorted(dp) == sorted(scan)
             checked += 1
@@ -397,7 +398,7 @@ class TestPrefixDP:
         # universal vertex of C5 plus an apex adds none.
         apex = join(cycle_graph(5), complete_graph(1))
         for g, steps in ((cycle_graph(5), 80), (apex, 80), (cycle_graph(8), 1024)):
-            assert engine._prefix_dp_masks(g, complement(g))[1] == steps
+            assert engine._prefix_dp_masks(complement(g))[1] == steps
 
     def test_universal_vertex_at_any_label_drops_out(self, graphs_by_n):
         # The DP renumbers the host's non-isolated vertices in order, so a
@@ -413,7 +414,7 @@ class TestPrefixDP:
                     host = complement(h)
                     assert not host.adj[i]
                     s = sum(1 for row in host.adj if row)
-                    dp, steps = engine._prefix_dp_masks(h, host)
+                    dp, steps = engine._prefix_dp_masks(host)
                     scan, _ = engine._maximal_cointerval_masks(host)
                     assert sorted(dp) == sorted(scan)
                     assert steps == s << (s - 1)
@@ -427,7 +428,7 @@ class TestPrefixDP:
         digest = hashlib.sha256()
         graphs = [g for n in range(1, 8) for g in graphs_by_n[n]]
         for g in graphs + [complement(host) for host in _large_hosts()]:
-            family, steps = engine._prefix_dp_masks(g, complement(g))
+            family, steps = engine._prefix_dp_masks(complement(g))
             digest.update(f"{sorted(family)} {steps}\n".encode())
         assert digest.hexdigest() == (
             "6e140be4bb622dc9c91abdaa6020a83b7ab99e9174c9d5841f4b6e2a659c96e1"
@@ -445,7 +446,7 @@ class TestPrefixDP:
             engine, "_minimal_masks", lambda masks: seen.append(list(masks)) or real(masks)
         )
         g = Graph.from_edges(3, [(0, 2)])
-        assert engine._prefix_dp_masks(g, complement(g)) == ([3], 12)
+        assert engine._prefix_dp_masks(complement(g)) == ([3], 12)
         assert [1, 0] in seen
         assert real([1, 0]) == [0]
         assert real([7, 3, 3, 5, 4]) == [4, 3]
@@ -479,6 +480,29 @@ class TestPrefixDP:
         monkeypatch.setattr(engine, "DP_MAX_VERTICES", 7)
         engine._maximal_cointerval_family_masks(cycle_graph(8), cap)
         assert calls[3:] == ["_maximal_cointerval_masks"]
+
+    def test_hosts_over_the_dp_vertex_limit_go_to_the_scan(self, monkeypatch):
+        # K_{2x k}'s host is a perfect matching: k edges on s = 2k vertices,
+        # past DP_MAX_VERTICES from k = 9 on and within the default cap. No
+        # two matching edges share a cointerval part, so the family is the k
+        # single edges and the boxicity is k (Roberts 1969).
+        def refuse(host):
+            raise AssertionError("the DP took a host over its vertex limit")
+
+        monkeypatch.setattr(engine, "_prefix_dp_masks", refuse)
+        for k in range(9, 13):
+            g = complete_multipartite([2] * k)
+            assert 2 * k > engine.DP_MAX_VERTICES
+            result = exact_boxicity(g)
+            assert (result.value, result.family_size) == (k, k)
+            assert verify_cointerval_cover(g, result.certificate)
+
+    def test_scan_past_the_recursion_limit_is_refused(self):
+        # The scan recurses once per host edge: C50's host has 1,175 edges,
+        # so a raised cap reaches the recursion limit, and the refusal names
+        # it instead of crashing.
+        with pytest.raises(CapacityError, match="1175 edges.*recursion limit"):
+            exact_boxicity(cycle_graph(50), 5000)
 
     def test_raised_cap_answers_with_verified_certificates(self):
         # Dense hosts with 35 to 44 edges, over the default cap, where the

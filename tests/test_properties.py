@@ -92,7 +92,7 @@ def test_scan_matches_brute_family_five_to_seven_vertices(host):
 def test_prefix_dp_matches_brute_family(host):
     # Called directly, at any density: the stage sends only dense hosts to
     # the DP, and interval complements (one member, the host) never reach it.
-    masks, _ = _prefix_dp_masks(complement(host), host)
+    masks, _ = _prefix_dp_masks(host)
     edges = host.edges()
     family = [[e for p, e in enumerate(edges) if mask >> p & 1] for mask in masks]
     assert sorted(family) == brute_maximal_family(host)
@@ -107,7 +107,7 @@ def test_prefix_dp_with_an_isolated_host_vertex_matches_brute_family(host, data)
     i = data.draw(st.integers(0, host.n))
     up = [v + (v >= i) for v in range(host.n)]
     host = Graph.from_edges(host.n + 1, [(up[u], up[v]) for u, v in host.edges()])
-    masks, steps = _prefix_dp_masks(complement(host), host)
+    masks, steps = _prefix_dp_masks(host)
     edges = host.edges()
     family = [[e for p, e in enumerate(edges) if mask >> p & 1] for mask in masks]
     assert sorted(family) == brute_maximal_family(host)
