@@ -18,9 +18,12 @@ own rows, before the complement is built, so asking the engine costs a
 caller no more than predicting its refusal. Then one of two exact methods
 builds the family, chosen by the host's density. The prefix DP's time is set
 by its 2^s prefixes, the subset scan's by the branches its prunes leave,
-which grow with density; the routing constant is the measured break-even on
+which grow with density; the routing constant is the break-even measured on
 the benchmark's ``box-hard`` hosts, and under a raised cap it does not move
-through s = 13 (``break_even`` and ``raised_cap`` in ``BENCH_29.json``).
+through s = 13 (``break_even`` and ``raised_cap`` in ``BENCH_29.json``). The
+cheaper DP step has since moved the ``box-hard`` break-even lower
+(``break_even`` in ``BENCH_32.json``); the constant is kept, because moving
+it changes the node counts.
 Both methods return masks over the host's sorted edge list, which the stage
 sorts, so the family, the cover and the certificate are the same whichever
 runs; only the node count differs.
@@ -451,13 +454,18 @@ def _prefix_dp_masks(host: Graph) -> tuple[list[int], int]:
     works on the host's s non-isolated vertices, numbered 0..s-1 in label
     order, so a prefix is an s-bit int, and loops layer by layer with no
     recursion. A table ``U`` of the vertices with a g-neighbour in each
-    subset gives each prefix's reaching vertices with one AND, and each
-    vertex's fill is memoised on its reaching host neighbours. A layer steps
-    every prefix, extending a prefix's one fill (the common case) with no
-    list built, collects each successor's candidate fills in a slot list
-    indexed by prefix, frees each prefix's own fills once it is stepped, and
-    reduces each successor once when the layer is done; a successor whose
-    candidates are all one fill keeps it without a reduction.
+    subset gives each prefix's reaching vertices with one AND, and a table
+    ``R`` of the host edges at each subset's vertices turns them into the
+    edges that reach; a step's fill is those edges that also lie at v, one
+    AND with v's edge star, since v is outside the prefix and every reaching
+    vertex is inside. The prefixes are bucketed by size once, and each
+    successor of a layer gets an empty slot before the layer is stepped. A
+    layer steps its prefixes in increasing order, extending a prefix's one
+    fill (the common case) with no list built, collects each successor's
+    candidate fills in its slot, frees each prefix's own fills once it is
+    stepped, and reduces each successor once when the layer is done; a
+    successor whose candidates are all one fill keeps it without a
+    reduction.
 
     Every prefix is needed. Letting a prefix grow only by a vertex with a
     g-neighbour already placed (or by any vertex once nothing placed reaches
@@ -476,65 +484,57 @@ def _prefix_dp_masks(host: Graph) -> tuple[list[int], int]:
     lhrow = [sum(1 << local[u] for u in _bit_list(hrow[v])) for v in verts]
     # g's rows on the live vertices: the complements of the host's.
     lrow = [full ^ h ^ 1 << i for i, h in enumerate(lhrow)]
-    # ebit[i][j]: host edge ij's bit in the edge list.
-    ebit = [[0] * s for _ in range(s)]
+    # star[i]: the bits of the host edges at live vertex i in the edge list.
+    star = [0] * s
     for p, (u, v) in enumerate(edges):
-        ebit[local[u]][local[v]] = ebit[local[v]][local[u]] = 1 << p
-    # U[S]: the live vertices with a g-neighbour in S, one OR per subset.
+        star[local[u]] |= 1 << p
+        star[local[v]] |= 1 << p
+    # U[S]: the live vertices with a g-neighbour in S; R[S]: the host edges
+    # at the vertices of S. One OR per subset each.
     U = [0]
+    R = [0]
     for i in range(s):
         U += [near | lrow[i] for near in U]
-    # memo[v]: v's fill by its key, its host neighbours that reach past the
-    # prefix.
-    memo: list[dict[int, int]] = [{0: 0} for _ in range(s)]
-    # slot[P]: prefix P's fills, from when P is first reached until it is
-    # stepped: its candidates while its own layer is being collected, its
+        R += [at | star[i] for at in R]
+    # layers[k]: the prefixes of k vertices, in increasing order.
+    layers: list[list[int]] = [[] for _ in range(s + 1)]
+    for prefix in range(1 << s):
+        layers[prefix.bit_count()].append(prefix)
+    pairs = [(1 << i, star[i]) for i in range(s)]
+    # slot[P]: prefix P's fills, from when P's layer is next until P is
+    # stepped: its candidates while its layer is being collected, its
     # inclusion-minimal fills once that layer is reduced.
     slot: list[list[int] | None] = [None] * (1 << s)
     slot[0] = [0]
-    layer = [0]
     steps = 0
-    for _ in range(s):
-        after = []  # the successor prefixes, in the order first reached
-        for prefix in layer:
+    for k in range(s):
+        after = layers[k + 1]
+        for succ in after:
+            slot[succ] = []
+        steps += (s - k) * len(layers[k])
+        for prefix in layers[k]:
             fills = slot[prefix]
             slot[prefix] = None
-            rest = full ^ prefix
-            # Placed vertices with a g-neighbour still unplaced: their
-            # intervals reach every vertex placed from now on.
-            reach = U[rest] & prefix
-            steps += rest.bit_count()
-            single = fills[0] if len(fills) == 1 else None
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                # The fill of placing v: its host edges to reaching vertices.
-                key = reach & lhrow[v]
-                fill_v = memo[v].get(key)
-                if fill_v is None:
-                    fill_v, near, bit_v = 0, key, ebit[v]
-                    while near:
-                        u = near & -near
-                        near ^= u
-                        fill_v |= bit_v[u.bit_length() - 1]
-                    memo[v][key] = fill_v
-                succ = prefix | low
-                cands = slot[succ]
-                if cands is None:
-                    cands = slot[succ] = []
-                    after.append(succ)
-                if single is not None:
-                    cands.append(single | fill_v)
-                else:
-                    cands += [fill | fill_v for fill in fills]
+            # The host edges at placed vertices with a g-neighbour still
+            # unplaced: their intervals reach every vertex placed from now
+            # on, so placing v fills its edges among them.
+            reach = R[U[full ^ prefix] & prefix]
+            if len(fills) == 1:
+                single = fills[0]
+                for bit, star_v in pairs:
+                    if not prefix & bit:
+                        slot[prefix | bit].append(single | reach & star_v)
+            else:
+                for bit, star_v in pairs:
+                    if not prefix & bit:
+                        fill_v = reach & star_v
+                        slot[prefix | bit] += [fill | fill_v for fill in fills]
         for prefix in after:
             cands = slot[prefix]
             if cands.count(cands[0]) == len(cands):
                 del cands[1:]
             else:
                 slot[prefix] = _minimal_masks(cands)
-        layer = after
     every = (1 << len(edges)) - 1
     return [every ^ fill for fill in slot[full]], steps
 

@@ -434,12 +434,23 @@ class TestPrefixDP:
             "6e140be4bb622dc9c91abdaa6020a83b7ab99e9174c9d5841f4b6e2a659c96e1"
         )
 
+    def test_vertex_limit(self):
+        # The perfect-matching host on 16 vertices, s = DP_MAX_VERTICES: every
+        # prefix is stepped, 16 * 2^15 steps, and each maximal cointerval
+        # subset is a single edge.
+        s = engine.DP_MAX_VERTICES
+        host = Graph.from_edges(s, [(2 * i, 2 * i + 1) for i in range(s // 2)])
+        family, steps = engine._prefix_dp_masks(host)
+        assert sorted(family) == [1 << p for p in range(s // 2)]
+        assert steps == 524_288
+
     def test_superset_candidate_before_its_subset_is_dropped(self, monkeypatch):
         # g is the edge 0-2 and the isolated vertex 1, so the host is the path
-        # 0-1-2 (edges 01 and 12, bits 0 and 1). Prefix {0, 1} is reached first
-        # from {0}, whose vertex 0 still reaches its g-neighbour 2, so placing
-        # 1 fills 01; then from {1}, which reaches nothing: the candidates
-        # arrive as [1, 0], the superset first, and only the empty fill stays.
+        # 0-1-2 (edges 01 and 12, bits 0 and 1). Prefix {0, 1} gets its
+        # candidates in layer order: first from {0}, whose vertex 0 still
+        # reaches its g-neighbour 2, so placing 1 fills 01; then from {1},
+        # which reaches nothing: the candidates arrive as [1, 0], the superset
+        # first, and only the empty fill stays.
         seen = []
         real = engine._minimal_masks
         monkeypatch.setattr(
