@@ -2,7 +2,7 @@
 
 The two exact solvers are iterative-deepening searches meant for desk-scale
 graphs: the minimum edge clique cover is the engine's minimum set cover over
-the maximal cliques, and the chromatic number tries k = 2, 3, ... colours.
+the maximal cliques, and the chromatic number tries k = 1, 2, ... colours.
 Each of the paper's three bounds is an integer formula in one function:
 Cor 3.6 in ``cor36_lower``, Thm 4.2 in ``thm42_upper`` and Thm 1.1 (boxicity
 against chromatic number) in ``thm11_upper``. Their invariants are computed
@@ -72,8 +72,9 @@ def edge_clique_cover(g: Graph) -> tuple[int, CliqueCover]:
     """Minimum number of cliques covering all edges, with a witness cover.
 
     Any clique extends to a maximal one covering at least the same edges, so
-    the exact search is a minimum set cover over the maximal cliques. Edgeless
-    graphs have cover number 0.
+    the exact search is a minimum set cover over the maximal cliques. An
+    edgeless graph's maximal cliques are its vertices, which cover no edge,
+    so its cover is empty and its cover number 0.
     """
     edges = g.edges()
     if len(edges) > DEFAULT_CLIQUE_COVER_EDGE_CAP:
@@ -81,8 +82,6 @@ def edge_clique_cover(g: Graph) -> tuple[int, CliqueCover]:
             f"graph has {len(edges)} edges, over the edge-clique-cover cap "
             f"{DEFAULT_CLIQUE_COVER_EDGE_CAP}"
         )
-    if not edges:
-        return 0, CliqueCover(g, ())
     cliques = maximal_cliques(g)
     # Each clique's set holds the indices of the edges with both ends in it.
     sets = [
@@ -95,7 +94,7 @@ def edge_clique_cover(g: Graph) -> tuple[int, CliqueCover]:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by iterative-deepening k-coloring.
+    """Exact chromatic number by iterative-deepening k-coloring from k = 1.
 
     Vertices are branched in descending degree order; a new color may only be
     opened by the first vertex to use it, which kills color-permutation
@@ -106,8 +105,6 @@ def chromatic_number(g: Graph) -> int:
             f"graph has {g.n} vertices, over the chromatic-number cap "
             f"{DEFAULT_CHROMATIC_MAX_N}"
         )
-    if g.num_edges() == 0:
-        return 1
     order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
 
     def colorable(k: int) -> bool:
@@ -131,7 +128,7 @@ def chromatic_number(g: Graph) -> int:
         assign = None  # assign holds itself through its cell: free it now
         return found
 
-    k = 2
+    k = 1
     while not colorable(k):
         k += 1
     return k

@@ -40,9 +40,10 @@ graph is chordal, so it has at most n, Fulkerson & Gross 1965), contradicts
 the decision and raises ``SelfCheckError``.
 
 Representations are checked on meet masks: per coordinate, each vertex gets
-the mask of the vertices whose interval meets its own, from two endpoint
-orders; the masks are ANDed over the coordinates and compared with the rows.
-The engine's box check uses the same kernel, ``_meet_verdict``.
+the mask of the vertices whose interval meets its own, its interval compared
+directly with every other; the masks are ANDed over the coordinates and
+compared with the rows. The engine's box check uses the same kernel,
+``_meet_verdict``.
 
 ``chordal_at_free_oracle`` is a deliberately independent second implementation
 (perfect elimination ordering, then an asteroidal-triple test that labels the
@@ -53,10 +54,7 @@ code with the decision or the clique route.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, NotIntervalError, SelfCheckError
@@ -125,8 +123,6 @@ def _consecutive_order(clique_masks: list[int]) -> list[int] | None:
     """First clique order (by index, lexicographic exploration) in which every
     vertex's cliques are consecutive, or None if no such order exists."""
     k = len(clique_masks)
-    if k <= 1:
-        return list(range(k))
     order: list[int] = []
 
     def extend(used: int, seen: int, prev: int) -> bool:
@@ -296,17 +292,9 @@ def _meet_verdict(g: Graph, columns: Iterable[Sequence[tuple[int, int]]], what: 
     v, names the failure, with ``what`` naming the vertices' objects."""
     meet = [(1 << g.n) - 1] * g.n
     for col in columns:
-        # [a, b] meets [c, d] iff a <= d and c <= b: the vertices that start
-        # at or before v's end, less those that end before v's start. Both
-        # are prefixes of an endpoint order, found by bisection.
-        by_lo = sorted(range(g.n), key=lambda v: col[v][0])
-        by_hi = sorted(range(g.n), key=lambda v: col[v][1])
-        los = [col[v][0] for v in by_lo]
-        his = [col[v][1] for v in by_hi]
-        started = [0, *accumulate((1 << v for v in by_lo), or_)]
-        ended = [0, *accumulate((1 << v for v in by_hi), or_)]
+        # [lo, hi] meets [c, d] iff c <= hi and lo <= d.
         meet = [
-            m & started[bisect_right(los, hi)] & ~ended[bisect_left(his, lo)]
+            m & sum(1 << u for u, (c, d) in enumerate(col) if c <= hi and lo <= d)
             for m, (lo, hi) in zip(meet, col)
         ]
     for u, (row, m) in enumerate(zip(g.adj, meet)):
@@ -385,7 +373,8 @@ def interval_representation(g: Graph) -> IntervalRep:
 def verify_interval_representation(g: Graph, rep: IntervalRep) -> Verdict:
     """Accept iff ``rep`` gives every vertex a non-empty interval and two
     intervals meet exactly when their vertices are adjacent: a box
-    representation with one coordinate, checked on meet masks."""
+    representation with one coordinate, checked on meet masks, each interval
+    compared directly with every other (``_meet_verdict``)."""
     if len(rep.intervals) != g.n:
         return Verdict(False, f"{len(rep.intervals)} intervals for {g.n} vertices")
     for v, (lo, hi) in enumerate(rep.intervals):

@@ -55,8 +55,9 @@ class TestEdgeCliqueCover:
         assert theta == 3
 
     def test_edgeless_is_zero(self):
-        theta, cover = edge_clique_cover(empty_graph(4))
-        assert theta == 0 and cover.cliques == ()
+        for n in (4, 64):
+            theta, cover = edge_clique_cover(empty_graph(n))
+            assert theta == 0 and cover.cliques == ()
 
     def test_complement_of_multipartite_identity(self):
         # The complement splits into one clique per part, so the cover number
@@ -136,7 +137,8 @@ class TestChromaticNumber:
         assert chromatic_number(complete_multipartite([3, 3])) == 2
 
     def test_edgeless(self):
-        assert chromatic_number(empty_graph(5)) == 1
+        for n in (5, 16):
+            assert chromatic_number(empty_graph(n)) == 1
 
     def test_exhaustive_oracle_agreement(self, graphs_by_n):
         # Independent check: no proper coloring with chi-1 colors exists, and

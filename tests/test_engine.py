@@ -6,8 +6,14 @@ import random
 
 import pytest
 
-from boxicity.bounds import chromatic_number, compute_bounds_report, thm11_upper
+from boxicity.bounds import (
+    CliqueCover,
+    chromatic_number,
+    compute_bounds_report,
+    thm11_upper,
+)
 from boxicity.cli import survey_row
+from boxicity.constructions import mycielski_cover
 from boxicity.corpus import are_isomorphic
 from boxicity.errors import CapacityError, SelfCheckError
 from boxicity.generators import (
@@ -1001,27 +1007,42 @@ class TestBoxRepresentation:
         # The engine's boxes and every single-endpoint +-1 move of them, on
         # every graph with up to 6 vertices: same verdict, same message.
         count = rejected = 0
+
+        def check(g, rep, moved):
+            nonlocal count, rejected
+            reps = [rep]
+            for v in moved:
+                for j in range(rep.dimension):
+                    for end in (0, 1):
+                        for delta in (-1, 1):
+                            box = list(rep.boxes[v])
+                            ends = list(box[j])
+                            ends[end] += delta
+                            box[j] = tuple(ends)
+                            boxes = list(rep.boxes)
+                            boxes[v] = tuple(box)
+                            reps.append(BoxRep(rep.dimension, tuple(boxes)))
+            for r in reps:
+                verdict = verify_box_representation(g, r)
+                assert verdict == brute_verify_box_representation(g, r)
+                count += 1
+                rejected += not verdict.ok
+
         for n in range(1, 7):
             for g in graphs_by_n[n]:
-                rep = exact_boxicity(g).box_rep
-                reps = [rep]
-                for v in range(n):
-                    for j in range(rep.dimension):
-                        for end in (0, 1):
-                            for delta in (-1, 1):
-                                box = list(rep.boxes[v])
-                                ends = list(box[j])
-                                ends[end] += delta
-                                box[j] = tuple(ends)
-                                boxes = list(rep.boxes)
-                                boxes[v] = tuple(box)
-                                reps.append(BoxRep(rep.dimension, tuple(boxes)))
-                for r in reps:
-                    verdict = verify_box_representation(g, r)
-                    assert verdict == brute_verify_box_representation(g, r)
-                    count += 1
-                    rejected += not verdict.ok
+                check(g, exact_boxicity(g).box_rep, range(n))
         assert (count, rejected) == (6592, 4376)
+        # At full size: the 2-dimensional boxes of M(star:30), 63 vertices,
+        # built from the Mycielski construction's cover, and the moves of the
+        # centre, two leaves, their copies and the apex.
+        base = star_graph(30)
+        cover = CliqueCover(complement(base), (tuple(range(1, 31)),))
+        g = mycielski(base, 2)[0]
+        rep = cover_to_box_representation(g, mycielski_cover(base, cover))
+        assert rep.dimension == 2
+        count = rejected = 0
+        check(g, rep, (0, 1, 30, 31, 32, 61, 62))
+        assert (count, rejected) == (57, 39)
 
     def test_boxes_run_no_clique_search_on_corpus(self, graphs_by_n, monkeypatch):
         # Each part is laid out from an orientation of the part itself.

@@ -224,27 +224,36 @@ class TestVerifyIntervalRepresentation:
         # Every witness with up to 6 vertices and each single-endpoint +-1
         # move of it: accepted exactly when its intersection graph is g.
         count = rejected = 0
+
+        def check(g, moved):
+            nonlocal count, rejected
+            rep = interval_representation(g)
+            reps = [rep]
+            for v in moved:
+                for end in (0, 1):
+                    for delta in (-1, 1):
+                        ivs = list(rep.intervals)
+                        ends = list(ivs[v])
+                        ends[end] += delta
+                        ivs[v] = tuple(ends)
+                        reps.append(IntervalRep(tuple(ivs)))
+            for r in reps:
+                verdict = verify_interval_representation(g, r)
+                well_formed = all(lo <= hi for lo, hi in r.intervals)
+                assert verdict.ok == (well_formed and reconstruct(r, g.n) == g)
+                count += 1
+                rejected += not verdict.ok
+
         for n in range(1, 7):
             for g in graphs_by_n[n]:
-                if not is_interval(g).interval:
-                    continue
-                rep = interval_representation(g)
-                reps = [rep]
-                for v in range(n):
-                    for end in (0, 1):
-                        for delta in (-1, 1):
-                            ivs = list(rep.intervals)
-                            ends = list(ivs[v])
-                            ends[end] += delta
-                            ivs[v] = tuple(ends)
-                            reps.append(IntervalRep(tuple(ivs)))
-                for r in reps:
-                    verdict = verify_interval_representation(g, r)
-                    well_formed = all(lo <= hi for lo, hi in r.intervals)
-                    assert verdict.ok == (well_formed and reconstruct(r, n) == g)
-                    count += 1
-                    rejected += not verdict.ok
+                if is_interval(g).interval:
+                    check(g, range(n))
         assert (count, rejected) == (3112, 2315)
+        # At full size: the 64-vertex caterpillar's witness and the moves of
+        # the spine's two ends and middle pair and of their leaves.
+        count = rejected = 0
+        check(caterpillar(32, 1), (0, 15, 16, 31, 32, 47, 48, 63))
+        assert (count, rejected) == (33, 28)
 
     def test_messages(self):
         g = path_graph(3)
