@@ -216,6 +216,84 @@ class TestMaximalFamily:
             [(2, 3), (3, 4), (4, 5)],
         ]
 
+    @staticmethod
+    def scan(host):
+        """The scan's family as edge lists, in the order it returns them,
+        and its node count."""
+        masks, nodes = engine._maximal_cointerval_masks(host)
+        edges = host.edges()
+        return [[edges[p] for p in range(len(edges)) if mask >> p & 1] for mask in masks], nodes
+
+    def test_independent_pair_cuts_an_include_branch(self):
+        # The scan decides 01, then 23. Below chosen {01}, choosing 23 would
+        # leave all four cross pairs 02, 03, 12, 13 absent, so that include
+        # child is cut; deciding 23 out reaches the leaf {01}: root, {01} and
+        # the leaf, 3 nodes. With 01 out, the node for 23 (4), its include
+        # leaf {23} (5) and its exclude child, subsumed by {23} with no later
+        # position (6). Without the cut the scan reads 5 and returns the one
+        # set {01, 23}, which is not cointerval.
+        host = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert self.scan(host) == ([[(0, 1)], [(2, 3)]], 6)
+
+    def test_independent_pair_cuts_an_exclude_branch(self):
+        # The scan places 0, 3, 1, 2, so it decides 01, 23, then 12. Choosing
+        # all three reaches the leaf {01, 12, 23} in 4 nodes. Below chosen
+        # {01, 23}, deciding 12 out would leave every cross pair of 01 and 23
+        # absent, so that exclude child is cut. Deciding 23 out below {01},
+        # and 01 out at the root, are each subsumed by the leaf with no edge
+        # blocked: 2 nodes, 6 in all. Without the cut the cut child is
+        # subsumed instead, and the scan reads 7.
+        assert self.scan(path_graph(4)) == ([[(0, 1), (1, 2), (2, 3)]], 6)
+
+    def test_class_conflict_cuts_an_include_branch(self):
+        # C5 is the smallest host on which this cut fires (fewest edges, then
+        # vertices, over every host on up to 7 vertices). The scan decides 01, 12, 23, 04, 34; the maximal sets are the five
+        # 3-edge paths, since two cycle edges with no common end need the edge
+        # between them. Nodes in visit order ("+e" chooses e, "-e" decides it
+        # out, "sub" is an exclude child subsumed by a found set, one node):
+        #   root +01 +12 +23 +04 -04, -34 leaf {01,12,23}             7
+        #   -23 +04, -34 leaf {01,12,04}, -04 sub                       4
+        #   -12 -23 +04, +34 leaf {01,04,34}, -34 sub, -04 sub          6
+        #   -01 +12 +23 -04, +34 leaf {12,23,34}, -34 sub, -23 sub      7
+        #   -12 +23 +04, +34 leaf {23,04,34}, -04 sub, -23 sub          6
+        # 30 in all. Below {01, 12, 23, 04} choosing 34 closes the 5-cycle,
+        # whose implication class holds an edge both ways: that include child
+        # is cut, and deciding 34 out leaves 23 and 04 an independent pair.
+        # Every other child not listed is cut by an independent pair. Without
+        # the conflict cut the scan reads 10 and returns the whole cycle.
+        assert self.scan(cycle_graph(5)) == (
+            [
+                [(0, 1), (1, 2), (2, 3)],
+                [(0, 1), (0, 4), (1, 2)],
+                [(0, 1), (0, 4), (3, 4)],
+                [(1, 2), (2, 3), (3, 4)],
+                [(0, 4), (2, 3), (3, 4)],
+            ],
+            30,
+        )
+
+    def test_class_conflict_cuts_an_exclude_branch(self):
+        # The smallest host on which this cut fires, as C5 is for the include
+        # cut: the 5-cycle 0-2-4-1-3 with the chord 04, the complement of P5,
+        # whose one maximal set is all six edges. The scan places 1, 3, 2, 0, 4 and
+        # decides 13, 03, 02, 14, 24, 04; choosing all six reaches that leaf
+        # in 7 nodes. Deciding 04 out last would leave the chosen 5-cycle,
+        # where 0 and 4 have the common chosen neighbour 2: relating 20 and
+        # 24 makes a class hold an edge both ways, so that exclude child is
+        # cut. The five earlier exclude children are each subsumed by the
+        # leaf with no edge blocked: 7 + 5 = 12. Without the cut the cut
+        # child is subsumed instead, and the scan reads 13.
+        host = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)])
+        assert self.scan(host) == ([host.edges()], 12)
+
+    def test_found_set_subsumes_an_exclude_branch_without_blocked_edges(self):
+        # The scan decides 01, then 12, and finds {01, 12} in 3 nodes.
+        # Deciding 12 out below {01} is subsumed with no later position (4).
+        # Deciding 01 out at the root is subsumed by {01, 12}, which holds the
+        # one later position, 12, with no edge blocked (5). Without
+        # subsumption the scan reads 7 and also returns {01}, {12} and {}.
+        assert self.scan(path_graph(3)) == ([[(0, 1), (1, 2)]], 5)
+
     def test_pinned_search_counters(self):
         # Deterministic counters are the regression signal of the search.
         # C8's and M(P4)'s hosts go to the prefix DP, whose nodes are its
