@@ -227,8 +227,11 @@ def multipartite_mycielski_bounds(parts: Iterable[int]) -> MultipartiteMycielski
 class BoundsReport:
     """Bounds on the boxicity of the Mycielski graph of the reported graph.
 
-    ``lower`` and ``upper`` hold (value, source-tag) pairs; ``exact`` is only
-    filled when an exact engine run was requested and feasible.
+    ``lower`` and ``upper`` hold (value, source-tag) pairs; ``exact`` is
+    filled only when an exact engine run on the Mycielski graph was
+    requested, and is None otherwise. A requested run that the engine
+    refuses is not left out: ``compute_bounds_report`` raises its
+    ``CapacityError``.
     """
 
     graph6: str

@@ -39,11 +39,12 @@ induced 4-cycle) and is transitively orientable (Gilmore & Hoffman 1964).
 * a pair of chosen vertex-disjoint edges whose four cross pairs are all
   absent (no host edge, or decided out) can never be repaired, and every
   completion then contains an induced pair of independent edges. The scan
-  reads this off two per-vertex rows, the chosen neighbours and the absent
-  pairs, at the decision that makes the last cross pair absent: choosing ab
-  is pruned when a chosen edge has both ends among the vertices absent to a
-  and to b, and deciding ab out is pruned when chosen edges av and bw with
-  v != w have aw, vb and vw absent;
+  reads this through one predicate on two per-vertex rows, the chosen
+  neighbours and the absent pairs: host edge xy is *blocked* when a chosen
+  edge has both ends absent to x and to y. Choosing ab is pruned when ab is
+  blocked. Deciding ab out is pruned when a chosen av with vb absent is then
+  blocked: no chosen edge is blocked on a live branch, so a new pair has ab
+  as a cross pair, and it is looked for only when a chosen bw has aw absent;
 * an implication class that holds an edge both ways. Two chosen edges va
   and vb whose pair ab is absent must both leave v or both enter v in any
   transitive orientation (Golumbic's Gamma). The scan finds each such
@@ -59,11 +60,10 @@ induced 4-cycle) and is transitively orientable (Gilmore & Hoffman 1964).
   set is its parent's, just found uncovered. Each node carries the found
   subsets that contain its chosen edges, and the exclude child at position
   j is subsumed when one of them holds every position from j on that is not
-  blocked. Host edge xy is blocked when a chosen edge has both ends absent
-  to x and to y: absent pairs and chosen edges only accumulate along a
-  branch, so the first ground refuses xy at every node below, and every
-  leaf below is a proper subset of that found subset. A subsumed child
-  counts as a node and is not entered.
+  blocked. Absent pairs and chosen edges only accumulate along a branch, so
+  the first ground refuses a blocked position at every node below, and
+  every leaf below is a proper subset of that found subset. A subsumed
+  child counts as a node and is not entered.
 
 Edges are decided vertex by vertex. The scan places the host's vertices one
 at a time and decides each vertex's edges to the vertices placed before it
@@ -75,8 +75,11 @@ with the fewest host edges to unplaced vertices: those edges are the pairs
 left undecided between the prefix and the rest, across which a conflict can
 still wait for a decision. Ties go to lower host degree, which at an equal
 count is the vertex with the fewest edges back into the prefix, so the new
-prefix closes after the fewest decisions; then to lower index. This order
-makes the fewest nodes of those measured in ``BENCH_17.json``.
+prefix closes after the fewest decisions; then to lower index. On the
+hosts the scan serves, this order makes about half the nodes of the
+lexicographic edge order on a ``survey`` pass's 585 scan hosts and a third
+on sparse hosts over ``DP_MAX_VERTICES`` live vertices (``traffic_check``
+in ``BENCH_35.json``).
 
 Include-first order guarantees every superset of a subset is visited first,
 so with the third ground every leaf is inclusion-maximal. The result is
@@ -328,30 +331,33 @@ def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
                 return False
         return True
 
+    def blocked(x: int, y: int) -> bool:
+        """Whether a chosen edge has both ends absent to x and to y: with xy
+        chosen, the two would be an induced pair of independent edges whose
+        four cross pairs are all absent, so no completion holds xy."""
+        far = absent[x] & absent[y]
+        rest = far
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if crow[low.bit_length() - 1] & far:
+                return True
+        return False
+
     def subsumed(j: int, cand: int) -> bool:
         """Whether a found mask in ``cand`` holds every position from j on
-        that no chosen edge blocks: host edge xy is blocked when a chosen edge
-        has both ends absent to x and to y, so no leaf below holds it. Only a
-        position that some candidate misses is tested, and an unblocked one
-        keeps the candidates that hold it."""
+        that is not ``blocked``, so that no leaf below holds anything new.
+        Only a position that some candidate misses is tested, and an
+        unblocked one keeps the candidates that hold it."""
         later = full >> j << j
         while later:
             p = later & -later
             later ^= p
             i = p.bit_length() - 1
-            if cand & ~holds[i]:
-                x, y = internal[i]
-                far = absent[x] & absent[y]
-                rest = far
-                while rest:
-                    u = rest & -rest
-                    rest ^= u
-                    if crow[u.bit_length() - 1] & far:
-                        break
-                else:
-                    cand &= holds[i]
-                    if not cand:
-                        return False
+            if cand & ~holds[i] and not blocked(*internal[i]):
+                cand &= holds[i]
+                if not cand:
+                    return False
         return True
 
     def rec(idx: int, chosen: int, cand: int) -> None:
@@ -371,16 +377,7 @@ def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
         a, b = internal[idx]
         mark = len(log)
 
-        # Choosing ab kills a chosen xy whose four cross pairs are all absent,
-        # that is, with both ends in far.
-        far = absent[a] & absent[b]
-        rest = far
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if crow[low.bit_length() - 1] & far:
-                break
-        else:
+        if not blocked(a, b):
             # Choosing ab relates it to each chosen ac with bc absent, and to
             # each chosen bc with ac absent.
             ra = crow[a] & absent[b]
@@ -399,14 +396,14 @@ def _maximal_cointerval_masks(host: Graph) -> tuple[list[int], int]:
 
         absent[a] |= 1 << b
         absent[b] |= 1 << a
-        # Deciding ab out kills chosen av and bw, v != w, whose other cross
-        # pairs aw, vb and vw are already absent.
-        ends = crow[b] & absent[a]
-        rest = crow[a] & absent[b] if ends else 0
+        # Deciding ab out kills a chosen av with vb absent that is now
+        # blocked, by a chosen bw with aw absent: a live branch holds no
+        # blocked chosen edge, so a new one has ab as a cross pair.
+        rest = crow[a] & absent[b] if crow[b] & absent[a] else 0
         while rest:
             low = rest & -rest
             rest ^= low
-            if absent[low.bit_length() - 1] & ends:
+            if blocked(a, low.bit_length() - 1):
                 break
         else:
             # Deciding ab out relates ca and cb for each common chosen neighbour.
@@ -506,12 +503,10 @@ def _prefix_dp_masks(host: Graph) -> tuple[list[int], int]:
     # inclusion-minimal fills once that layer is reduced.
     slot: list[list[int] | None] = [None] * (1 << s)
     slot[0] = [0]
-    steps = 0
     for k in range(s):
         after = layers[k + 1]
         for succ in after:
             slot[succ] = []
-        steps += (s - k) * len(layers[k])
         for prefix in layers[k]:
             fills = slot[prefix]
             slot[prefix] = None
@@ -536,7 +531,7 @@ def _prefix_dp_masks(host: Graph) -> tuple[list[int], int]:
             else:
                 slot[prefix] = _minimal_masks(cands)
     every = (1 << len(edges)) - 1
-    return [every ^ fill for fill in slot[full]], steps
+    return [every ^ fill for fill in slot[full]], s << s >> 1
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:

@@ -127,6 +127,12 @@ class TestBox:
     def test_bad_graph6_is_parse_error(self, capsys):
         code, _, err = run_cli(["box", "!!"], capsys)
         assert code == 2
+        for text, message in (
+            ("~??", "truncated graph6 header"),
+            ("?", "graph6 vertex count 0 unsupported"),
+        ):
+            code, out, err = run_cli(["box", text], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unexpected_exception_exits_five(self, capsys, monkeypatch):
         def fail(g, cap):
@@ -457,6 +463,26 @@ class TestSurvey:
         assert code == 4
         assert out.strip().splitlines()[-1].endswith("pass,pass,fail,pass")
         assert "theorem check failed" in err
+
+    def test_refused_construction_fails_thm42(self, tmp_path, capsys, monkeypatch):
+        # A Thm 4.2 cover that the construction's own check refuses reads as
+        # a failed check in the row, which the survey still writes before it
+        # exits 4.
+        def refuse(*args):
+            raise SelfCheckError("constructed cover does not verify")
+
+        monkeypatch.setattr(cli, "_mycielski_cover", refuse)
+        row = cli.survey_row(cycle_graph(5))
+        assert (row.chk_cor36, row.chk_thm42, row.chk_thm11, row.chk_chi_plus1) == (
+            True, False, True, True
+        )
+        line = graph6_encode(cycle_graph(5))
+        listing = tmp_path / "c5.g6"
+        listing.write_text(line + "\n")
+        code, out, err = run_cli(["survey", str(listing)], capsys)
+        assert code == 4
+        assert out == f"{cli.SURVEY_HEADER}\n{row.to_csv()}\n"
+        assert err == f"theorem check failed for {line}\n"
 
 
 

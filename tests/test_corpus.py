@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import pytest
+
 from boxicity import corpus
 from boxicity.corpus import are_isomorphic, connected_graphs
 from boxicity.generators import complete_graph, cycle_graph, path_graph, star_graph
@@ -10,6 +12,11 @@ from boxicity.graphs import Graph, disjoint_union, graph6_encode
 def test_class_counts_match_known_values(graphs_by_n, connected_by_n):
     assert [len(graphs_by_n[n]) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
     assert [len(connected_by_n[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_refuses_an_empty_vertex_count():
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        corpus.all_graphs(0)
 
 
 def test_corpus_digest_pinned(graphs_by_n):

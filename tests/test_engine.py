@@ -144,6 +144,24 @@ def _large_hosts():
     return hosts
 
 
+def _sparse_scan_hosts():
+    """Hosts that only the subset scan serves: more than DP_MAX_VERTICES live
+    vertices and at most 24 edges, within the default cap. The perfect
+    matching on 24 vertices (K_{2x12}'s host), the paths P17, P20 and P25,
+    the cycles C17, C20 and C24, and 20 seeded connected hosts with 17-24
+    vertices: a random tree plus random extra edges up to 24 in all."""
+    hosts = [Graph.from_edges(24, [(2 * i, 2 * i + 1) for i in range(12)])]
+    hosts += [path_graph(k) for k in (17, 20, 25)]
+    hosts += [cycle_graph(k) for k in (17, 20, 24)]
+    rng = random.Random(35)
+    for _ in range(20):
+        n = rng.randint(17, 24)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        others = sorted(set(itertools.combinations(range(n), 2)) - set(tree))
+        hosts.append(Graph.from_edges(n, tree + rng.sample(others, rng.randint(0, 25 - n))))
+    return hosts
+
+
 class TestMaximalFamily:
     def test_complete_host_single_part(self):
         host = complete_graph(5)
@@ -334,6 +352,20 @@ class TestMaximalFamily:
         assert largest == 64
         assert digest.hexdigest() == (
             "d2da4c46e85b784a2181b09f1d30bf3a14d104052a4bd9bcaa44aea18f9fe112"
+        )
+
+    def test_scan_digest_pinned_on_sparse_hosts_over_the_dp_limit(self):
+        # The same raw output on hosts that go to the scan whatever their
+        # density, because the DP refuses more than DP_MAX_VERTICES live
+        # vertices: the scan alone answers for these in every run.
+        digest = hashlib.sha256()
+        for host in _sparse_scan_hosts():
+            assert sum(1 for row in host.adj if row) > engine.DP_MAX_VERTICES
+            assert host.num_edges() <= engine.DEFAULT_COMPLEMENT_EDGE_CAP
+            family, nodes = engine._maximal_cointerval_masks(host)
+            digest.update(f"{family} {nodes}\n".encode())
+        assert digest.hexdigest() == (
+            "2a1bada697131229b48fb3b466d5a1790f552fdc0f7e6f788a8ff53cb8f9bbc4"
         )
 
     def test_scan_masks_digest_pinned(self, graphs_by_n):

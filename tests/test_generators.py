@@ -119,6 +119,13 @@ class TestMycielski:
         assert [layout.copy(2, v) for v in range(3)] == [3, 4, 5]
         assert layout.apex == 6 and layout.total == 7
 
+    def test_copy_refuses_out_of_range(self):
+        _, layout = mycielski(path_graph(3), 2)
+        with pytest.raises(ValueError, match=r"^copy index 3 outside 1\.\.2$"):
+            layout.copy(3, 0)
+        with pytest.raises(ValueError, match="^base vertex 3 out of range$"):
+            layout.copy(1, 3)
+
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             mycielski(path_graph(3), 1)
@@ -179,6 +186,10 @@ class TestGenFamily:
         for bad in ["", "hexagon:6", "cycle", "cycle:x", "cycle:4:7", "mycielski:cycle:4"]:
             with pytest.raises(ValueError):
                 gen_family(bad)
+        with pytest.raises(ValueError, match="^multipartite needs a part list$"):
+            gen_family("multipartite")
+        with pytest.raises(ValueError, match="^bad multipartite part list 'a'$"):
+            gen_family("multipartite:a")
 
     def test_single_vertex_is_smallest(self):
         assert gen_family("complete:1") == Graph(1, (0,))

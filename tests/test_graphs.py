@@ -48,6 +48,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(3, [(1, 1)])
 
+    def test_rejects_bad_rows_and_edges(self):
+        with pytest.raises(ValueError, match="^adjacency row count does not match n$"):
+            Graph(3, (0, 0))
+        with pytest.raises(ValueError, match="^adjacency row 0 mentions vertices >= n$"):
+            Graph(2, (4, 0))
+        with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+            Graph.from_edges(3, [(0, 3)])
+
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):
             Graph(0, ())
@@ -237,6 +245,13 @@ class TestGraph6:
             graph6_decode("B")  # missing body
         with pytest.raises(ValueError):
             graph6_decode("A" + chr(50))  # byte below the graph6 range
+        for text, message in (
+            ("~??", "truncated graph6 header"),
+            ("~\x1f??", "invalid graph6 header byte"),
+            ("?", "graph6 vertex count 0 unsupported"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                graph6_decode(text)
 
     def test_rejects_nonzero_padding(self):
         # n=2 has one data bit; the remaining five padding bits must be zero.
